@@ -1,60 +1,115 @@
-"""Exact Tukey (halfspace) depth in the plane.
+"""Exact Tukey (halfspace) depth in the plane, for many query points at once.
 
-Depth of a point q against a cloud is the minimum, over all closed
-halfplanes whose boundary passes through q, of the fraction of cloud
-points inside.  The minimum over the continuum of directions is attained
-on one of the open angular arcs delimited by the directions
-perpendicular to the cloud points as seen from q, so an angular sweep
-over those O(n) critical directions is exact in O(n log n).
+Depth of a point q against a cloud of n points is the minimum, over all
+closed halfplanes whose boundary passes through q, of the fraction of
+cloud points inside.  Cloud points that coincide with q lie in every such
+halfplane and always count.  Seen from q, let theta_j be the directions
+of the other points.  As a halfplane turns about q its count changes only
+when its boundary passes one of them.  Turning a minimising halfplane
+back until its boundary meets some theta_i keeps its count, which is
+then the number of points in the arc (theta_i, theta_i + pi], so (cf.
+Rousseeuw & Ruts 1996, AS 307)
+
+    depth(q) = (#coincident + min_i #{j : theta_j in (theta_i, theta_i + pi]}) / n.
+
+Half-plane keying.  A direction is never shifted by pi in floating
+point.  Each difference vector w = c - q is mapped into the closed upper
+half-plane by exact negation, recording a half bit h = 1 when w pointed
+into the lower half (y < 0, or y = 0 and x < 0), and keyed by
+(phi, h) with phi = arctan2 of the flipped vector in [0, pi].  Antipodal
+points share phi and differ only in h, exactly, so the only rounding is
+that of arctan2 itself, which is monotone in the angle; no shift by pi
+adds another.  Wherever arctan2 maps equal directions to equal values and
+separates distinct ones (as on the integer-grid clouds of the tests), the
+depths agree exactly with the sign-test enumeration in the tests' oracle.
+With c0 and c1 the number of points of half 0 and
+half 1 whose phi is at most phi_i, and Z0, Z1 the half totals, the arc
+count of direction (phi_i, h) is Z0 - c0 + c1 for h = 0 and
+Z1 - c1 + c0 for h = 1.  Both formulas give the count of some arc
+(theta, theta + pi] that a halfplane attains, so evaluating both at
+every distinct phi is safe and finds the minimum.
+
+Kernel.  Keys are packed into order-preserving uint64 values
+((bits of phi) << 1 | h; phi >= 0, so its float bits sort as integers),
+one row per query, and sorted along the rows.  The cumulative half-1
+count along a sorted row gives c1 and c0 at the last key of each run of
+equal phi.  Rows are processed in chunks of about ``_CHUNK_PAIRS``
+query x cloud pairs, which bounds the working memory for any ensemble
+size.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 __all__ = ["tukey_depth", "tukey_depths"]
 
-_TWO_PI = 2.0 * math.pi
+# query x cloud pairs per chunk.  Each of the chunk's temporaries then
+# holds 2**14 values (128 KiB); on a Xeon with 2 MiB of L2 per core this
+# ran fastest for clouds of 500 to 3000 points, and 2**15 up to 1.5x slower.
+_CHUNK_PAIRS = 1 << 14
+
+# key of a cloud point that coincides with the query, also used as a pad
+# after the last column: it sorts after every real key (whose phi bits
+# are at most those of pi) and has half bit 0, so it adds nothing to c1
+_ABSENT = np.uint64(0xFFFF_FFFF_FFFF_FFFE)
 
 
-def tukey_depth(point, cloud) -> float:
-    """Exact halfspace depth of ``point`` in [0, 1] against ``cloud`` (n x 2).
+def _depth_rows(queries: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+    """Exact depth of each row of ``queries`` (m x 2) against ``cloud``."""
+    n = cloud.shape[0]
+    wx = cloud[:, 0] - queries[:, 0, None]
+    wy = cloud[:, 1] - queries[:, 1, None]
+    flat = wy == 0.0
+    coincident = flat & (wx == 0.0)
+    lower = (wy < 0.0) | (flat & (wx < 0.0))
+    keys = np.empty((wx.shape[0], n + 1), dtype=np.uint64)
+    keys[:, n] = _ABSENT
+    body = keys[:, :n]
+    # exact negation flips the lower half up; abs also turns -0.0 into +0.0
+    np.arctan2(np.abs(wy, out=wy), np.where(lower, -wx, wx), out=body.view(np.float64))
+    body <<= np.uint64(1)
+    body |= lower
+    body[coincident] = _ABSENT
+    keys.sort(axis=1)
 
-    Cloud points exactly coincident with ``point`` lie in every closed
-    halfplane and always count.
-    """
-    point = np.asarray(point, dtype=float)
+    c1 = np.cumsum((keys & np.uint64(1)).view(np.int64), axis=1)
+    z1 = c1[:, n]
+    apart = n - np.count_nonzero(coincident, axis=1)
+    # diff = c1 - c0 at each position, kept only where a run of equal phi
+    # ends; elsewhere it is 0, which stands for a direction just below
+    # phi = 0 with the attainable counts Z0 and Z1.  A row whose points all
+    # coincide with the query has apart = 0 and so depth 1.
+    diff = c1[:, :n]
+    diff *= 2
+    diff -= np.arange(1, n + 1)
+    phi_bits = keys >> np.uint64(1)
+    diff *= phi_bits[:, 1:] != phi_bits[:, :-1]
+    best = np.minimum(apart - z1 + diff.min(axis=1), z1 - diff.max(axis=1))
+    return (n - apart + best) / n
+
+
+def tukey_depths(points, cloud) -> np.ndarray:
+    """Exact halfspace depth in [0, 1] of each row of ``points`` (m x 2)
+    against ``cloud`` (n x 2)."""
+    points = np.asarray(points, dtype=float)
     cloud = np.asarray(cloud, dtype=float)
     if cloud.ndim != 2 or cloud.shape[1] != 2:
         raise ValueError(f"cloud must be n x 2, got shape {cloud.shape}")
     if cloud.shape[0] == 0:
         raise ValueError("cloud must be nonempty")
-    v = cloud - point
-    coincident = (v[:, 0] == 0.0) & (v[:, 1] == 0.0)
-    n = cloud.shape[0]
-    n_coincident = int(np.count_nonzero(coincident))
-    w = v[~coincident]
-    if w.shape[0] == 0:
-        return 1.0
-    angles = np.sort(np.arctan2(w[:, 1], w[:, 0]) % _TWO_PI)
-    # critical normal directions: each data angle +/- pi/2
-    crit = np.unique(np.concatenate([(angles + 0.5 * math.pi) % _TWO_PI,
-                                     (angles - 0.5 * math.pi) % _TWO_PI]))
-    # evaluate on the open arcs between consecutive critical directions,
-    # where no data point sits exactly on the halfplane boundary
-    nxt = np.roll(crit, -1).copy()
-    nxt[-1] += _TWO_PI
-    mids = ((crit + nxt) / 2.0) % _TWO_PI
-    lo = (mids - 0.5 * math.pi) % _TWO_PI
-    doubled = np.concatenate([angles, angles + _TWO_PI])
-    counts = (np.searchsorted(doubled, lo + math.pi, side="right")
-              - np.searchsorted(doubled, lo, side="left"))
-    return (n_coincident + int(counts.min())) / n
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must be m x 2, got shape {points.shape}")
+    rows = max(1, _CHUNK_PAIRS // cloud.shape[0])
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], rows):
+        out[start:start + rows] = _depth_rows(points[start:start + rows], cloud)
+    return out
 
 
-def tukey_depths(points, cloud) -> np.ndarray:
-    """Depth of each row of ``points`` against the same cloud."""
-    points = np.asarray(points, dtype=float)
-    return np.array([tukey_depth(q, cloud) for q in points])
+def tukey_depth(point, cloud) -> float:
+    """Exact halfspace depth of ``point`` in [0, 1] against ``cloud`` (n x 2)."""
+    point = np.asarray(point, dtype=float)
+    if point.shape != (2,):
+        raise ValueError(f"point must have shape (2,), got {point.shape}")
+    return float(tukey_depths(point[None], cloud)[0])

@@ -8,6 +8,7 @@ regions in shape space.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -195,6 +196,23 @@ class BootstrapEnsemble:
     def valid_mask(self) -> np.ndarray:
         return np.isfinite(self.tau)
 
+    def valid_cloud(self) -> np.ndarray:
+        """The (u, v) points of the valid replicates, in replicate order."""
+        valid = self.valid_mask()
+        return np.column_stack([self.u[valid], self.v[valid]])
+
+    @functools.cached_property
+    def cloud_depths(self) -> np.ndarray:
+        """Tukey depth of each valid (u, v) point in the valid cloud.
+
+        Computed on first use and shared by the confidence regions of
+        every level; read-only.
+        """
+        cloud = self.valid_cloud()
+        depths = tukey_depths(cloud, cloud)
+        depths.setflags(write=False)
+        return depths
+
 
 def _centroid_shape_stats(xa: np.ndarray, xb: np.ndarray, xc: np.ndarray) -> dict:
     """Vectorized shape statistics for K centroid triangles ((K, p) each)."""
@@ -358,8 +376,8 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
             f"only {valid.size} valid replicates; the confidence region is coarse",
             stacklevel=2,
         )
-    points = np.column_stack([ens.u[valid], ens.v[valid]])
-    depths = tukey_depths(points, points)
+    points = ens.valid_cloud()
+    depths = ens.cloud_depths
     ascending = np.sort(depths)
     candidates = np.unique(depths)[::-1]
     counts = depths.size - np.searchsorted(ascending, candidates, side="left")
@@ -509,9 +527,7 @@ def coverage_simulation(
         ci_hits += lo <= tau_true <= hi
         lengths[s] = hi - lo
         cr = confidence_region(ens, level)
-        valid = ens.valid_mask()
-        cloud = np.column_stack([ens.u[valid], ens.v[valid]])
-        cr_hits += tukey_depth(uv_true, cloud) >= cr.depth_threshold
+        cr_hits += tukey_depth(uv_true, ens.valid_cloud()) >= cr.depth_threshold
         areas[s] = cr.area
     return {
         "ci_coverage": ci_hits / n_sims,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +76,12 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
 
     Malformed feature cells raise CsvParseError carrying the 1-based file
     line; group labels must be covered by the configured A/B/C mapping.
+    A UTF-8 byte-order mark is ignored, and a column name repeated in the
+    header or in the feature list is rejected.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -86,6 +89,10 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
             raise CsvParseError(1, "", "empty file, header row required") from None
         rows = list(reader)
 
+    for names in (header, config.feature_columns):
+        repeated = [c for c, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise CsvParseError(1, repeated[0], "column named more than once")
     if config.group_column not in header:
         raise CsvParseError(1, config.group_column, "group column not in header")
     group_idx = header.index(config.group_column)
@@ -236,11 +243,6 @@ def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
         },
     }
     return report, ens, region_objects
-
-
-def build_report(config: AnalysisConfig, ds: GroupedDataset) -> dict:
-    """Run the full analysis and return just the report dictionary."""
-    return run_analysis(config, ds)[0]
 
 
 def _dump(obj, out: list) -> None:

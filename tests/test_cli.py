@@ -1,6 +1,8 @@
+import codecs
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +72,19 @@ def test_load_csv_unknown_label(tmp_path):
 def test_load_csv_missing_file():
     with pytest.raises(FileNotFoundError):
         load_csv("/nonexistent/nope.csv", iris_config())
+
+
+def test_load_csv_rejects_repeated_column_names(tmp_path):
+    rows = "1.0,2.0,setosa\n3.0,4.0,versicolor\n5.0,6.0,virginica\n"
+    dup = write_csv(tmp_path / "dup.csv", "x,x,grp\n" + rows)
+    with pytest.raises(CsvParseError) as err:
+        load_csv(dup, iris_config(input_path=dup, group_column="grp"))
+    assert (err.value.line, err.value.column) == (1, "x")
+    plain = write_csv(tmp_path / "plain.csv", "x,y,grp\n" + rows)
+    cfg = iris_config(features=("y", "x", "y"), input_path=plain, group_column="grp")
+    with pytest.raises(CsvParseError) as err:
+        load_csv(plain, cfg)
+    assert (err.value.line, err.value.column) == (1, "y")
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +218,23 @@ def test_svg_without_regions_draws_disk_and_observed():
     assert glyph_count(svg) == 1  # only the observed triangle glyph
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
+
+
+def test_analyze_ignores_utf8_bom(tmp_path, monkeypatch):
+    plain = Path(iris_csv_path()).read_bytes()
+    reports = []
+    for name, data in (("plain", plain), ("bom", codecs.BOM_UTF8 + plain)):
+        work = tmp_path / name
+        work.mkdir()
+        (work / "iris.csv").write_bytes(data)
+        monkeypatch.chdir(work)  # the report echoes the relative --input
+        assert main([
+            "analyze", "--input", "iris.csv", "--group-col", "species",
+            "--groups", "A=setosa,B=versicolor,C=virginica",
+            "--boot", "200", "--seed", "3", "--report", "report.json",
+        ]) == 0
+        reports.append((work / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_analyze_missing_file_exit_code(tmp_path, capsys):

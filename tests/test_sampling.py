@@ -14,12 +14,35 @@ from ibistat import (
     side_lengths,
     stream_generator,
 )
+from ibistat.sampling import (
+    DOMAIN_BOOTSTRAP,
+    DOMAIN_NULL,
+    DOMAIN_PERMUTATION,
+    DOMAIN_SIMULATION,
+)
 
 
 def test_stream_same_key_is_bit_identical():
     a = stream_generator(42, 7).normal(size=100)
     b = stream_generator(42, 7).normal(size=100)
     np.testing.assert_array_equal(a, b)
+
+
+# First raw 64-bit draws of stream (2021, domain, 3) per domain. Reports,
+# bootstrap ensembles and permutation p-values are functions of these
+# streams, so a change to how generators are built must keep them.
+STREAM_GOLDENS = {
+    DOMAIN_BOOTSTRAP: [0x0047C1603E9967D7, 0x582FB22FF114B073, 0xA0047CA8C47DED33],
+    DOMAIN_PERMUTATION: [0xD8DD84AA3701289B, 0x248E0F0B87F9701E, 0xD58C4470A78D7BA9],
+    DOMAIN_SIMULATION: [0xD25B3B367B9067A6, 0x5A6051F260D006D1, 0xCD5785916F03C92A],
+    DOMAIN_NULL: [0x36587754F14E1E6E, 0x1EC6403D8D4CA386, 0x899E3BB9CAEBA367],
+}
+
+
+@pytest.mark.parametrize("domain", sorted(STREAM_GOLDENS))
+def test_stream_first_draws_are_pinned(domain):
+    raw = stream_generator(2021, domain, 3).bit_generator.random_raw(3)
+    assert [int(x) for x in raw] == STREAM_GOLDENS[domain]
 
 
 def test_streams_are_disjoint():

@@ -54,7 +54,6 @@ from .metrics import (
 )
 from .sampling import (
     GroupSpec,
-    SeededRng,
     mean_configuration_from_shape,
     sample_grouped_dataset,
     sample_null_configuration,

@@ -37,11 +37,14 @@ def _parse_levels(raw: str) -> tuple:
     return levels
 
 
-def _default_threads() -> int:
+def _positive_int(raw: str) -> int:
     try:
-        return max(1, int(os.environ.get("IBISTAT_THREADS", "1")))
+        value = int(raw)
     except ValueError:
-        return 1
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--perm", type=int, default=0, help="permutations (0 = skip)")
     pa.add_argument("--levels", type=_parse_levels, default=(0.8, 0.95))
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: $IBISTAT_THREADS or 1)")
+    pa.add_argument("--threads", type=_positive_int, metavar="N",
+                    help="accepted for compatibility; has no effect")
     pa.add_argument("--report", default="", help="write the JSON report here")
     pa.add_argument("--plot", default="", help="write a shape-space SVG here")
 
@@ -100,7 +103,6 @@ def _cmd_analyze(args) -> int:
         levels=args.levels,
         seed=args.seed,
         perm_k=args.perm,
-        threads=args.threads if args.threads is not None else _default_threads(),
         report_path=args.report,
         plot_path=args.plot,
     )

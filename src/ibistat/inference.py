@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from .shape import (
     Configuration,
     ShapePoint,
     SideLengths,
+    _centroid_shape_stats,
     shape_point,
     side_lengths,
     sides_from_shape,
@@ -62,6 +62,9 @@ __all__ = [
 GROUPS = ("A", "B", "C")
 
 _SQRT3 = math.sqrt(3.0)
+
+# Fewer valid replicates than this make a confidence region coarse.
+_MIN_REGION_REPLICATES = 100
 
 
 @dataclass(frozen=True)
@@ -214,61 +217,36 @@ class BootstrapEnsemble:
         return depths
 
 
-def _centroid_shape_stats(xa: np.ndarray, xb: np.ndarray, xc: np.ndarray) -> dict:
-    """Vectorized shape statistics for K centroid triangles ((K, p) each)."""
-    a2 = np.sum((xb - xc) ** 2, axis=1)
-    b2 = np.sum((xa - xc) ** 2, axis=1)
-    c2 = np.sum((xa - xb) ** 2, axis=1)
-    total = a2 + b2 + c2
-    scale = 1.0 + np.max(np.abs(np.stack([xa, xb, xc])), axis=(0, 2))
-    # coincident-centroid rule matching Configuration.is_degenerate:
-    # centered Frobenius norm (= sqrt(total/3)) below 1e-12 * scale
-    degenerate = np.sqrt(np.maximum(total, 0.0) / 3.0) < 1e-12 * scale
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe_total = np.where(degenerate, 1.0, total)
-        a2n, b2n, c2n = a2 / safe_total, b2 / safe_total, c2 / safe_total
-        u = 1.0 - 3.0 * a2n
-        v = _SQRT3 * (b2n - c2n)
-        tau = np.clip(3.0 * b2n - 1.0, -1.0, 1.0)
-        gamma_undefined = (a2 == 0.0) | (c2 == 0.0)
-        gamma = np.clip(
-            (2.0 * b2n - 1.0)
-            / (2.0 * np.sqrt(np.where(gamma_undefined, 1.0, a2n * c2n))),
-            -1.0,
-            1.0,
-        )
-    gamma = np.where(gamma_undefined, np.nan, gamma)
-    for arr in (a2n, b2n, c2n, u, v, tau, gamma):
-        arr[degenerate] = np.nan
-    return {
-        "tau": tau, "gamma": gamma, "u": u, "v": v,
-        "a2": a2n, "b2": b2n, "c2": c2n,
-        "degenerate": degenerate,
-        "gamma_undefined": gamma_undefined & ~degenerate,
-    }
+# Bound on the feature values one chunk of replicates gathers (8 MiB of
+# float64), so memory stays flat as K grows.
+_CHUNK_VALUES = 2**20
 
 
-def _bootstrap_indices(seed: int, k0: int, k1: int, sizes) -> list:
-    """Resampling index blocks for replicates k0..k1-1, one stream each."""
-    out = []
-    for k in range(k0, k1):
-        rng = stream_generator(seed, DOMAIN_BOOTSTRAP, k)
-        out.append([rng.integers(0, n, size=n) for n in sizes])
-    return out
+def _resampled_shape_stats(ds: GroupedDataset, feats: list, k: int, draw) -> dict:
+    """Shape statistics of K resampled centroid triangles.
+
+    ``draw(j)`` returns replicate j's three index arrays, one per group,
+    into ``feats[0]``, ``feats[1]`` and ``feats[2]``.  Replicates are
+    gathered in chunks of at most ``_CHUNK_VALUES`` feature values; each
+    replicate's means depend only on its own indices, so the chunk size
+    never changes a bit.
+    """
+    step = max(1, _CHUNK_VALUES // (ds.n * ds.p))
+    means = np.empty((3, k, ds.p))
+    for lo in range(0, k, step):
+        hi = min(k, lo + step)
+        blocks = [draw(j) for j in range(lo, hi)]
+        for g in range(3):
+            idx = np.array([blk[g] for blk in blocks])
+            means[g, lo:hi] = feats[g][idx].mean(axis=1)
+    return _centroid_shape_stats(means[0], means[1], means[2])
 
 
-def stratified_bootstrap(
-    ds: GroupedDataset,
-    k: int,
-    seed: int,
-    threads: int = 1,
-    resample: bool = True,
-) -> BootstrapEnsemble:
+def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnsemble:
     """Resample within each group, recompute the centroid triangle K times.
 
-    Replicate j draws its indices from the stream (seed, j), so ensembles
-    are bit-identical regardless of thread count.  ``resample=False`` is
-    a test hook that emits identity replicates (no resampling).
+    Replicate j draws its indices from the stream (seed, j), so an
+    ensemble depends on nothing but (ds, k, seed).
 
     Degenerate replicates (coincident centroids) are recorded as NaN and
     counted in ``n_degenerate`` rather than failing the run.
@@ -276,30 +254,12 @@ def stratified_bootstrap(
     if k < 1:
         raise ValueError("need at least one bootstrap replicate")
     group_feats = [ds.group_features(g) for g in GROUPS]
-    sizes = [f.shape[0] for f in group_feats]
 
-    if resample:
-        threads = max(1, int(threads))
-        if threads == 1:
-            blocks = _bootstrap_indices(seed, 0, k, sizes)
-        else:
-            bounds = np.linspace(0, k, threads + 1, dtype=int)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_bootstrap_indices, seed, int(lo), int(hi), sizes)
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                ]
-                blocks = [b for f in futures for b in f.result()]
-        means = []
-        for g in range(3):
-            idx = np.array([blk[g] for blk in blocks])
-            means.append(group_feats[g][idx].mean(axis=1))
-        xa, xb, xc = means
-    else:
-        lm = np.array([f.mean(axis=0) for f in group_feats])
-        xa, xb, xc = (np.tile(lm[g], (k, 1)) for g in range(3))
+    def draw(j):
+        rng = stream_generator(seed, DOMAIN_BOOTSTRAP, j)
+        return [rng.integers(0, len(f), size=len(f)) for f in group_feats]
 
-    stats = _centroid_shape_stats(xa, xb, xc)
+    stats = _resampled_shape_stats(ds, group_feats, k, draw)
     return BootstrapEnsemble(
         tau=stats["tau"], gamma=stats["gamma"], u=stats["u"], v=stats["v"],
         a2=stats["a2"], b2=stats["b2"], c2=stats["c2"],
@@ -371,7 +331,7 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
         raise InsufficientReplicatesError(
             f"need at least 3 valid replicates, got {valid.size}"
         )
-    if valid.size < 100:
+    if valid.size < _MIN_REGION_REPLICATES:
         warnings.warn(
             f"only {valid.size} valid replicates; the confidence region is coarse",
             stacklevel=2,
@@ -454,18 +414,13 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
         raise ValueError("need at least one permutation")
     cfg = centroid_configuration(ds)
     obs = ibi_pair(side_lengths(cfg))
-    sizes = [len(ds.group_indices(g)) for g in GROUPS]
-    ends = np.cumsum(sizes)
+    ends = np.cumsum([len(ds.group_indices(g)) for g in GROUPS[:2]])
 
-    perm_means = np.empty((k, 3, ds.p))
-    for j in range(k):
-        rng = stream_generator(seed, DOMAIN_PERMUTATION, j)
-        order = rng.permutation(ds.n)
-        start = 0
-        for g, end in enumerate(ends):
-            perm_means[j, g] = ds.features[order[start:end]].mean(axis=0)
-            start = end
-    stats = _centroid_shape_stats(perm_means[:, 0], perm_means[:, 1], perm_means[:, 2])
+    def draw(j):
+        order = stream_generator(seed, DOMAIN_PERMUTATION, j).permutation(ds.n)
+        return np.split(order, ends)
+
+    stats = _resampled_shape_stats(ds, [ds.features] * 3, k, draw)
 
     def pvalue(perm_vals: np.ndarray, observed: float) -> float:
         exceed = ~np.isfinite(perm_vals)  # undefined counts as extreme
@@ -513,6 +468,7 @@ def coverage_simulation(
 
     ci_hits = 0
     cr_hits = 0
+    coarse = 0
     lengths = np.empty(n_sims)
     areas = np.empty(n_sims)
     for s in range(n_sims):
@@ -526,9 +482,19 @@ def coverage_simulation(
         lo, hi = percentile_ci(ens.tau, level)
         ci_hits += lo <= tau_true <= hi
         lengths[s] = hi - lo
-        cr = confidence_region(ens, level)
+        coarse += np.count_nonzero(ens.valid_mask()) < _MIN_REGION_REPLICATES
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=r"only \d+ valid replicates")
+            cr = confidence_region(ens, level)
         cr_hits += tukey_depth(uv_true, ens.valid_cloud()) >= cr.depth_threshold
         areas[s] = cr.area
+    if coarse:
+        warnings.warn(
+            f"{coarse} of {n_sims} simulated datasets had fewer than "
+            f"{_MIN_REGION_REPLICATES} valid replicates; their confidence "
+            "regions are coarse",
+            stacklevel=2,
+        )
     return {
         "ci_coverage": ci_hits / n_sims,
         "ci_length": float(lengths.mean()),

@@ -39,6 +39,11 @@ from .shape import shape_point, side_lengths
 REPORT_FORMAT = 1
 
 
+def _level_key(level: float) -> str:
+    """The key of a level's CI and region in the report."""
+    return format(float(level), "g")
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Everything a run needs; echoed verbatim into the report."""
@@ -52,7 +57,6 @@ class AnalysisConfig:
     levels: tuple = (0.8, 0.95)
     seed: int = 0
     perm_k: int = 0
-    threads: int = 1
     report_path: str = ""
     plot_path: str = ""
 
@@ -65,6 +69,16 @@ class AnalysisConfig:
             raise ValueError("boot_k must be >= 1")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
             raise ValueError("levels must lie in (0, 1)")
+        keys = [_level_key(lv) for lv in self.levels]
+        if len(set(keys)) != len(keys):
+            raise ValueError(
+                f"levels {list(self.levels)} share a report key "
+                f"({', '.join(keys)}); give each level once"
+            )
+        if self.perm_k < 0:
+            raise ValueError(f"perm_k (--perm) must be >= 0, got {self.perm_k}")
+        if self.seed < 0:
+            raise ValueError(f"seed (--seed) must be >= 0, got {self.seed}")
         if self.standardize_mode not in ("none", "feature", "whiten"):
             raise ValueError(f"unknown standardize mode {self.standardize_mode!r}")
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
@@ -182,14 +196,12 @@ def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
     work = standardize(ds, config.standardize_mode)
     observed = _shape_block(centroid_configuration(work))
 
-    ens = stratified_bootstrap(
-        work, k=config.boot_k, seed=config.seed, threads=config.threads
-    )
+    ens = stratified_bootstrap(work, k=config.boot_k, seed=config.seed)
     cis = {"tau": {}, "gamma": {}}
     regions = {}
     region_objects = {}
     for level in config.levels:
-        key = format(level, "g")
+        key = _level_key(level)
         lo, hi = percentile_ci(ens.tau, level)
         cis["tau"][key] = [lo, hi]
         gamma_vals = ens.gamma[np.isfinite(ens.gamma)]

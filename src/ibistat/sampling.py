@@ -16,12 +16,12 @@ import numpy as np
 from .shape import (
     Configuration,
     ShapePoint,
+    _centroid_shape_stats,
     configuration_from_sides,
     sides_from_shape,
 )
 
 __all__ = [
-    "SeededRng",
     "GroupSpec",
     "stream_generator",
     "sample_null_configuration",
@@ -47,17 +47,6 @@ def stream_generator(seed: int, *stream_id: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream_id))
     return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass(frozen=True)
-class SeededRng:
-    """A (seed, stream-id) pair; ``generator()`` yields the stream."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return stream_generator(self.seed, self.stream_id)
 
 
 @dataclass(frozen=True)
@@ -99,25 +88,17 @@ def sample_null_configuration(p: int, rng: np.random.Generator) -> Configuration
 def sample_null_shapes(p: int, n: int, rng: np.random.Generator) -> dict:
     """Vectorized null sample of n triangle shapes.
 
-    Returns arrays ``r``, ``phi``, ``tau``, ``u``, ``v`` computed through
-    the side-length route; intended for Monte-Carlo validation of the
+    Returns arrays ``r``, ``phi``, ``tau``, ``u``, ``v`` computed by the
+    side-length kernel the bootstrap uses; intended for Monte-Carlo validation of the
     closed-form null densities.
     """
     if p < 2:
         raise ValueError("null sampling needs p >= 2")
     x = rng.normal(size=(n, 3, p))
-    xa, xb, xc = x[:, 0], x[:, 1], x[:, 2]
-    a2 = np.sum((xb - xc) ** 2, axis=1)
-    b2 = np.sum((xa - xc) ** 2, axis=1)
-    c2 = np.sum((xa - xb) ** 2, axis=1)
-    total = a2 + b2 + c2
-    a2, b2, c2 = a2 / total, b2 / total, c2 / total
-    u = 1.0 - 3.0 * a2
-    v = math.sqrt(3.0) * (b2 - c2)
-    r = np.hypot(u, v)
+    stats = _centroid_shape_stats(x[:, 0], x[:, 1], x[:, 2])
+    u, v = stats["u"], stats["v"]
     phi = np.arctan2(v, u) % (2.0 * math.pi)
-    tau = 3.0 * b2 - 1.0
-    return {"r": r, "phi": phi, "tau": tau, "u": u, "v": v}
+    return {"r": np.hypot(u, v), "phi": phi, "tau": stats["tau"], "u": u, "v": v}
 
 
 def mean_configuration_from_shape(r: float, phi: float, p: int = 2) -> Configuration:

@@ -366,6 +366,41 @@ def side_lengths(config: Configuration) -> SideLengths:
     return SideLengths(a2 / total, b2 / total, c2 / total)
 
 
+def _centroid_shape_stats(xa: np.ndarray, xb: np.ndarray, xc: np.ndarray) -> dict:
+    """Vectorized shape statistics for K centroid triangles ((K, p) each);
+    degenerate triangles hold NaN instead of raising."""
+    a2 = np.sum((xb - xc) ** 2, axis=1)
+    b2 = np.sum((xa - xc) ** 2, axis=1)
+    c2 = np.sum((xa - xb) ** 2, axis=1)
+    total = a2 + b2 + c2
+    scale = 1.0 + np.max(np.abs(np.stack([xa, xb, xc])), axis=(0, 2))
+    # coincident-centroid rule matching Configuration.is_degenerate:
+    # centered Frobenius norm (= sqrt(total/3)) below 1e-12 * scale
+    degenerate = np.sqrt(np.maximum(total, 0.0) / 3.0) < 1e-12 * scale
+    with np.errstate(invalid="ignore", divide="ignore"):
+        safe_total = np.where(degenerate, 1.0, total)
+        a2n, b2n, c2n = a2 / safe_total, b2 / safe_total, c2 / safe_total
+        u = 1.0 - 3.0 * a2n
+        v = _SQRT3 * (b2n - c2n)
+        tau = np.clip(3.0 * b2n - 1.0, -1.0, 1.0)
+        gamma_undefined = (a2 == 0.0) | (c2 == 0.0)
+        gamma = np.clip(
+            (2.0 * b2n - 1.0)
+            / (2.0 * np.sqrt(np.where(gamma_undefined, 1.0, a2n * c2n))),
+            -1.0,
+            1.0,
+        )
+    gamma = np.where(gamma_undefined, np.nan, gamma)
+    for arr in (a2n, b2n, c2n, u, v, tau, gamma):
+        arr[degenerate] = np.nan
+    return {
+        "tau": tau, "gamma": gamma, "u": u, "v": v,
+        "a2": a2n, "b2": b2n, "c2": c2n,
+        "degenerate": degenerate,
+        "gamma_undefined": gamma_undefined & ~degenerate,
+    }
+
+
 def sides_from_shape(sp: ShapePoint) -> SideLengths:
     """Squared side lengths from disk coordinates via the fixed linear map."""
     u, v = sp.u, sp.v

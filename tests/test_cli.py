@@ -168,14 +168,6 @@ def test_analyze_observed_goldens(tmp_path):
     assert abs(json.loads(raw)["observed"]["gamma"] - 0.103) <= 0.002
 
 
-def test_analyze_env_var_thread_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("IBISTAT_THREADS", "4")
-    a = run_analyze(tmp_path, "env4")
-    monkeypatch.setenv("IBISTAT_THREADS", "1")
-    b = run_analyze(tmp_path, "env1")
-    assert a == b  # thread count must never change the bytes
-
-
 def test_analyze_whiten_mode(tmp_path):
     raw = run_analyze(tmp_path, "whiten", "--standardize", "whiten", "--boot", "150")
     report = json.loads(raw)
@@ -244,6 +236,41 @@ def test_analyze_missing_file_exit_code(tmp_path, capsys):
     ])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_analyze_rejects_zero_threads():
+    with pytest.raises(SystemExit):
+        main([
+            "analyze", "--input", iris_csv_path(), "--group-col", "species",
+            "--groups", "A=setosa,B=versicolor,C=virginica", "--threads", "0",
+        ])
+
+
+@pytest.mark.parametrize("levels", ["0.95,0.95", "0.95,0.9500001"])
+def test_analyze_rejects_levels_sharing_a_report_key(tmp_path, capsys, levels):
+    report = tmp_path / "r.json"
+    code = main([
+        "analyze", "--input", iris_csv_path(), "--group-col", "species",
+        "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "50",
+        "--levels", levels, "--report", str(report),
+    ])
+    assert code == 1
+    assert "share a report key" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("option, field", [("--perm", "perm_k"), ("--seed", "seed")])
+def test_analyze_rejects_negative_counts(tmp_path, capsys, option, field):
+    report = tmp_path / "r.json"
+    code = main([
+        "analyze", "--input", iris_csv_path(), "--group-col", "species",
+        "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "50",
+        option, "-1", "--report", str(report),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert option in err and field in err
+    assert not report.exists()
 
 
 def test_analyze_rejects_bad_groups():

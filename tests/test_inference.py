@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ibistat import inference
 from ibistat import (
     GroupedDataset,
     InsufficientDataError,
@@ -19,6 +21,7 @@ from ibistat import (
     stratified_bootstrap,
     stream_generator,
 )
+from ibistat.shape import _centroid_shape_stats
 from _oracles import quantile_type7
 
 
@@ -166,19 +169,46 @@ def test_bootstrap_deterministic(iris_ds):
     np.testing.assert_array_equal(a.gamma, b.gamma)
 
 
-def test_bootstrap_thread_count_does_not_change_results(iris_ds):
-    a = stratified_bootstrap(iris_ds, k=257, seed=4, threads=1)
-    b = stratified_bootstrap(iris_ds, k=257, seed=4, threads=8)
-    np.testing.assert_array_equal(a.tau, b.tau)
-    np.testing.assert_array_equal(a.u, b.u)
-
-
 def test_bootstrap_identity_hook_matches_observed(iris_ds):
-    work = standardize(iris_ds, "feature")
-    ens = stratified_bootstrap(work, k=1, seed=0, resample=False)
+    # the bootstrap's vectorised kernel, fed the observed centroids,
+    # agrees with the scalar SVD route of the report's observed block
+    cfg = centroid_configuration(standardize(iris_ds, "feature"))
+    stats = _centroid_shape_stats(*(row[None, :] for row in cfg.landmarks))
     obs = observed_ibi(iris_ds, mode="feature")
-    assert abs(ens.tau[0] - obs.tau) <= 1e-12
-    assert abs(ens.gamma[0] - obs.gamma) <= 1e-12
+    assert abs(stats["tau"][0] - obs.tau) <= 1e-12
+    assert abs(stats["gamma"][0] - obs.gamma) <= 1e-12
+
+
+def test_resampling_chunk_size_does_not_change_results(iris_ds, monkeypatch):
+    rng = np.random.default_rng(8)
+    ds = make_dataset(rng, n=40, p=3, offsets=rng.normal(size=(3, 3)))
+    runs = []
+    for chunk in (inference._CHUNK_VALUES, 1):
+        monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk)
+        runs.append((
+            stratified_bootstrap(iris_ds, k=257, seed=4),
+            stratified_bootstrap(ds, k=100, seed=2),
+            permutation_test(iris_ds, k=150, seed=3),
+            permutation_test(ds, k=150, seed=5),
+        ))
+    default, one = runs
+    for a, b in zip(default[:2], one[:2]):
+        for name in ("tau", "gamma", "u", "v", "a2", "b2", "c2"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert default[2:] == one[2:]
+
+
+def test_bootstrap_memory_stays_bounded():
+    rng = np.random.default_rng(12)
+    ds = make_dataset(rng, n=2000, p=8)
+    tracemalloc.start()
+    try:
+        stratified_bootstrap(ds, k=400, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole (K, n, p) gather of one group alone would be 49 MiB
+    assert peak < 32 * 2**20
 
 
 def test_bootstrap_internal_consistency(iris_ds):
@@ -378,6 +408,17 @@ def test_coverage_simulation_smoke_and_vanishing_noise():
     assert result["ci_length"] < 0.01
     assert result["cr_area"] < 1e-3
     assert result["ci_coverage"] >= 0.8
+
+
+def test_coverage_simulation_warns_once_for_coarse_regions():
+    with pytest.warns(UserWarning) as record:
+        coverage_simulation(
+            r=0.5, phi=1.0, p=2, n_per_group=15, sigma2=1.0,
+            n_sims=3, k=40, seed=1,
+        )
+    assert len(record) == 1
+    assert "3 of 3 simulated datasets" in str(record[0].message)
+    assert record[0].filename == __file__
 
 
 def test_coverage_simulation_validation():

@@ -5,7 +5,6 @@ import pytest
 
 from ibistat import (
     GroupSpec,
-    SeededRng,
     mean_configuration_from_shape,
     sample_grouped_dataset,
     sample_null_configuration,
@@ -49,12 +48,6 @@ def test_streams_are_disjoint():
     a = stream_generator(42, 0).normal(size=100)
     b = stream_generator(42, 1).normal(size=100)
     assert not np.allclose(a, b)
-
-
-def test_seeded_rng_wrapper():
-    a = SeededRng(seed=5, stream_id=3).generator().integers(0, 1000, size=20)
-    b = stream_generator(5, 3).integers(0, 1000, size=20)
-    np.testing.assert_array_equal(a, b)
 
 
 def test_null_configuration_deterministic():

@@ -9,6 +9,7 @@ regions in shape space.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .sampling import (
     DOMAIN_SIMULATION,
     GroupSpec,
     mean_configuration_from_shape,
+    rekeyed_streams,
     sample_grouped_dataset,
     stream_generator,
 )
@@ -222,20 +224,27 @@ class BootstrapEnsemble:
 _CHUNK_VALUES = 2**20
 
 
-def _resampled_shape_stats(ds: GroupedDataset, feats: list, k: int, draw) -> dict:
+def _resampled_shape_stats(
+    ds: GroupedDataset, feats: list, k: int, seed: int, domain: int, draw
+) -> dict:
     """Shape statistics of K resampled centroid triangles.
 
-    ``draw(j)`` returns replicate j's three index arrays, one per group,
-    into ``feats[0]``, ``feats[1]`` and ``feats[2]``.  Replicates are
-    gathered in chunks of at most ``_CHUNK_VALUES`` feature values; each
-    replicate's means depend only on its own indices, so the chunk size
-    never changes a bit.
+    Replicate j owns the stream (seed, domain, j). ``draw(rng)`` takes a
+    generator on that stream and returns the replicate's three index
+    arrays, one per group, into ``feats[0]``, ``feats[1]`` and
+    ``feats[2]``.  One generator, built by ``stream_generator`` for
+    replicate 0, is re-keyed for every replicate (``rekeyed_streams``),
+    which gives the same bits as a fresh generator per replicate.
+    Replicates are gathered in chunks of at most ``_CHUNK_VALUES``
+    feature values; each replicate's means depend only on its own
+    indices, so the chunk size never changes a bit.
     """
+    streams = rekeyed_streams(stream_generator(seed, domain, 0), seed, domain, k)
     step = max(1, _CHUNK_VALUES // (ds.n * ds.p))
     means = np.empty((3, k, ds.p))
     for lo in range(0, k, step):
         hi = min(k, lo + step)
-        blocks = [draw(j) for j in range(lo, hi)]
+        blocks = [draw(rng) for rng in itertools.islice(streams, hi - lo)]
         for g in range(3):
             idx = np.array([blk[g] for blk in blocks])
             means[g, lo:hi] = feats[g][idx].mean(axis=1)
@@ -245,8 +254,8 @@ def _resampled_shape_stats(ds: GroupedDataset, feats: list, k: int, draw) -> dic
 def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnsemble:
     """Resample within each group, recompute the centroid triangle K times.
 
-    Replicate j draws its indices from the stream (seed, j), so an
-    ensemble depends on nothing but (ds, k, seed).
+    Replicate j draws its indices from the stream (seed, bootstrap, j),
+    so an ensemble depends on nothing but (ds, k, seed).
 
     Degenerate replicates (coincident centroids) are recorded as NaN and
     counted in ``n_degenerate`` rather than failing the run.
@@ -255,11 +264,10 @@ def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnse
         raise ValueError("need at least one bootstrap replicate")
     group_feats = [ds.group_features(g) for g in GROUPS]
 
-    def draw(j):
-        rng = stream_generator(seed, DOMAIN_BOOTSTRAP, j)
+    def draw(rng):
         return [rng.integers(0, len(f), size=len(f)) for f in group_feats]
 
-    stats = _resampled_shape_stats(ds, group_feats, k, draw)
+    stats = _resampled_shape_stats(ds, group_feats, k, seed, DOMAIN_BOOTSTRAP, draw)
     return BootstrapEnsemble(
         tau=stats["tau"], gamma=stats["gamma"], u=stats["u"], v=stats["v"],
         a2=stats["a2"], b2=stats["b2"], c2=stats["c2"],
@@ -414,13 +422,14 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
         raise ValueError("need at least one permutation")
     cfg = centroid_configuration(ds)
     obs = ibi_pair(side_lengths(cfg))
-    ends = np.cumsum([len(ds.group_indices(g)) for g in GROUPS[:2]])
+    n_a, n_b = (len(ds.group_indices(g)) for g in GROUPS[:2])
+    end_b = n_a + n_b
 
-    def draw(j):
-        order = stream_generator(seed, DOMAIN_PERMUTATION, j).permutation(ds.n)
-        return np.split(order, ends)
+    def draw(rng):
+        order = rng.permutation(ds.n)
+        return order[:n_a], order[n_a:end_b], order[end_b:]
 
-    stats = _resampled_shape_stats(ds, [ds.features] * 3, k, draw)
+    stats = _resampled_shape_stats(ds, [ds.features] * 3, k, seed, DOMAIN_PERMUTATION, draw)
 
     def pvalue(perm_vals: np.ndarray, observed: float) -> float:
         exceed = ~np.isfinite(perm_vals)  # undefined counts as extreme
@@ -461,6 +470,8 @@ def coverage_simulation(
     """
     if min(n_per_group, n_sims, k) < 1 or sigma2 <= 0 or p < 2:
         raise ValueError("all simulation parameters must be positive (p >= 2)")
+    if seed < 0:
+        raise ValueError(f"seed (--seed) must be >= 0, got {seed}")
     mean_cfg = mean_configuration_from_shape(r, phi, p=p)
     spec = GroupSpec(means=mean_cfg.landmarks * _SQRT3, sigma2=sigma2, n=n_per_group)
     tau_true = r * math.cos(phi - math.pi / 3.0)

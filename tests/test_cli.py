@@ -273,6 +273,35 @@ def test_analyze_rejects_negative_counts(tmp_path, capsys, option, field):
     assert not report.exists()
 
 
+def test_analyze_groups_of_size_two(tmp_path):
+    path = write_csv(
+        tmp_path / "two.csv",
+        "x,y,g\n0.0,0.1,a\n1.0,0.3,a\n2.0,1.1,b\n3.2,0.4,b\n5.0,2.0,c\n4.1,0.2,c\n",
+    )
+    report = tmp_path / "r.json"
+    code = main([
+        "analyze", "--input", path, "--group-col", "g", "--groups", "A=a,B=b,C=c",
+        "--boot", "200", "--perm", "100", "--report", str(report),
+    ])
+    assert code == 0
+    data = json.loads(report.read_text())
+    assert data["data"]["n_per_group"] == {"A": 2, "B": 2, "C": 2}
+
+
+def test_analyze_coincident_landmarks_is_an_error(tmp_path, capsys):
+    # all three group means are (0.5, 0.5): the shape is undefined
+    path = write_csv(tmp_path / "same.csv", "x,y,g\n0,0,a\n1,1,a\n0,0,b\n1,1,b\n1,1,c\n0,0,c\n")
+    report = tmp_path / "r.json"
+    code = main([
+        "analyze", "--input", path, "--group-col", "g", "--groups", "A=a,B=b,C=c",
+        "--boot", "50", "--report", str(report),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ibistat: error:") and "Traceback" not in err
+    assert not report.exists()
+
+
 def test_analyze_rejects_bad_groups():
     with pytest.raises(SystemExit):
         main([
@@ -311,6 +340,16 @@ def test_simulate_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_simulate_rejects_negative_seed(capsys):
+    code = main([
+        "simulate", "--r", "0.5", "--phi", "1.0", "--p", "2", "--n", "10",
+        "--sigma2", "1.0", "--sims", "1", "--boot", "50", "--seed", "-1",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ibistat: error:") and "--seed" in err
 
 
 # ---------------------------------------------------------------------------

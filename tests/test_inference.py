@@ -198,6 +198,23 @@ def test_resampling_chunk_size_does_not_change_results(iris_ds, monkeypatch):
     assert default[2:] == one[2:]
 
 
+@pytest.mark.parametrize("k", [1, 7, 300])
+def test_resampling_builds_one_generator_per_call(iris_ds, monkeypatch, k):
+    # replicates re-key one generator; stream_generator, looked up in
+    # ibistat.inference, builds it once per bootstrap or permutation test
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return stream_generator(*args)
+
+    monkeypatch.setattr(inference, "stream_generator", counting)
+    stratified_bootstrap(iris_ds, k=k, seed=4)
+    assert len(calls) == 1
+    permutation_test(iris_ds, k=k, seed=4)
+    assert len(calls) == 2
+
+
 def test_bootstrap_memory_stays_bounded():
     rng = np.random.default_rng(12)
     ds = make_dataset(rng, n=2000, p=8)
@@ -424,6 +441,8 @@ def test_coverage_simulation_warns_once_for_coarse_regions():
 def test_coverage_simulation_validation():
     with pytest.raises(ValueError):
         coverage_simulation(0.5, 1.0, 1, 10, 1.0, 5, 50, 0)
+    with pytest.raises(ValueError, match="seed"):
+        coverage_simulation(0.5, 1.0, 2, 10, 1.0, 5, 50, -1)
 
 
 def test_one_dimensional_features_end_to_end():

@@ -18,6 +18,8 @@ from ibistat.sampling import (
     DOMAIN_NULL,
     DOMAIN_PERMUTATION,
     DOMAIN_SIMULATION,
+    rekeyed_streams,
+    stream_keys,
 )
 
 
@@ -42,6 +44,49 @@ STREAM_GOLDENS = {
 def test_stream_first_draws_are_pinned(domain):
     raw = stream_generator(2021, domain, 3).bit_generator.random_raw(3)
     assert [int(x) for x in raw] == STREAM_GOLDENS[domain]
+
+
+# one-word seeds, two-word seeds (coverage_simulation's bootstrap seeds
+# are uint64) and a seed longer than the 4-word pool
+@pytest.mark.parametrize("seed", [0, 2021, 2**40 + 3, 2**64 - 1, 2**130 + 7])
+@pytest.mark.parametrize("domain", sorted(STREAM_GOLDENS))
+def test_stream_keys_match_seed_sequence(seed, domain):
+    k = 37
+    keys = stream_keys(seed, domain, k)
+    assert keys.shape == (k, 2) and keys.dtype == np.uint64
+    for j in (0, 1, k - 1):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, j))
+        np.testing.assert_array_equal(keys[j], ss.generate_state(2, np.uint64))
+
+
+def test_stream_keys_reject_out_of_range_arguments():
+    # a replicate index >= 2**32 takes two spawn-key words, which the
+    # vectorised hash does not model; checked before anything is allocated
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        stream_keys(0, DOMAIN_BOOTSTRAP, 2**32 + 1)
+    with pytest.raises(ValueError):
+        stream_keys(-1, DOMAIN_BOOTSTRAP, 3)
+    assert stream_keys(5, DOMAIN_BOOTSTRAP, 0).shape == (0, 2)
+
+
+def test_rekeyed_streams_draw_like_fresh_generators():
+    seed, domain, k = 2021, DOMAIN_PERMUTATION, 6
+    rng = stream_generator(seed, DOMAIN_BOOTSTRAP, 0)
+    rng.integers(0, 5, size=3)  # an odd count of 32-bit draws
+    assert rng.bit_generator.state["has_uint32"] == 1
+    for j, g in enumerate(rekeyed_streams(rng, seed, domain, k)):
+        assert g is rng
+        fresh = stream_generator(seed, domain, j)
+        np.testing.assert_array_equal(
+            g.bit_generator.random_raw(5), fresh.bit_generator.random_raw(5)
+        )
+        np.testing.assert_array_equal(g.permutation(11), fresh.permutation(11))
+        np.testing.assert_array_equal(g.integers(0, 13, size=7), fresh.integers(0, 13, size=7))
+        # the permutation's rejection sampling draws a varying number of
+        # 32-bit halves; leave one pending so every re-key must clear it
+        if not g.bit_generator.state["has_uint32"]:
+            g.integers(0, 13)
+        assert g.bit_generator.state["has_uint32"] == 1
 
 
 def test_streams_are_disjoint():

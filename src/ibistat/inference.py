@@ -9,7 +9,6 @@ regions in shape space.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,10 +27,12 @@ from .sampling import (
     DOMAIN_PERMUTATION,
     DOMAIN_SIMULATION,
     GroupSpec,
+    bootstrap_indices,
     mean_configuration_from_shape,
     rekeyed_streams,
     sample_grouped_dataset,
     stream_generator,
+    stream_keys,
 )
 from .shape import (
     Configuration,
@@ -219,8 +220,8 @@ class BootstrapEnsemble:
         return depths
 
 
-# Bound on the feature values one chunk of replicates gathers (8 MiB of
-# float64), so memory stays flat as K grows.
+# Bound on the values one chunk of replicates holds (8 MiB of float64 or
+# int64), so memory stays flat as K grows.
 _CHUNK_VALUES = 2**20
 
 
@@ -229,25 +230,33 @@ def _resampled_shape_stats(
 ) -> dict:
     """Shape statistics of K resampled centroid triangles.
 
-    Replicate j owns the stream (seed, domain, j). ``draw(rng)`` takes a
-    generator on that stream and returns the replicate's three index
-    arrays, one per group, into ``feats[0]``, ``feats[1]`` and
-    ``feats[2]``.  One generator, built by ``stream_generator`` for
-    replicate 0, is re-keyed for every replicate (``rekeyed_streams``),
-    which gives the same bits as a fresh generator per replicate.
-    Replicates are gathered in chunks of at most ``_CHUNK_VALUES``
-    feature values; each replicate's means depend only on its own
-    indices, so the chunk size never changes a bit.
+    Replicate j owns the stream (seed, domain, j), keyed by row j of
+    ``stream_keys``.  ``draw(rng, keys)`` takes one Philox generator and
+    the key rows of a chunk of m replicates, and returns an (m, N) index
+    matrix whose columns hold group A's indices into ``feats[0]``, then
+    B's into ``feats[1]``, then C's into ``feats[2]``.  The generator,
+    built once by ``stream_generator`` for replicate 0, is re-keyed for
+    every replicate (``rekeyed_streams``), which gives the same bits as
+    a fresh generator per replicate.  A chunk holds at most
+    ``_CHUNK_VALUES`` values: per replicate, p gathered feature values
+    and two index-sized values (the index, and the raw words and
+    temporaries drawing it) per observation.  Each replicate's means
+    depend only on its own indices, so the chunk size never changes a
+    bit.
     """
-    streams = rekeyed_streams(stream_generator(seed, domain, 0), seed, domain, k)
-    step = max(1, _CHUNK_VALUES // (ds.n * ds.p))
+    rng = stream_generator(seed, domain, 0)
+    keys = stream_keys(seed, domain, k)
+    sizes = [len(ds.group_indices(g)) for g in GROUPS]
+    ends = np.cumsum([0] + sizes)
+    step = max(1, _CHUNK_VALUES // (ds.n * (ds.p + 2)))
     means = np.empty((3, k, ds.p))
     for lo in range(0, k, step):
-        hi = min(k, lo + step)
-        blocks = [draw(rng) for rng in itertools.islice(streams, hi - lo)]
+        idx = draw(rng, keys[lo : lo + step])
         for g in range(3):
-            idx = np.array([blk[g] for blk in blocks])
-            means[g, lo:hi] = feats[g][idx].mean(axis=1)
+            out = means[g, lo : lo + step]
+            cols = idx[:, ends[g] : ends[g + 1]]
+            np.add.reduce(np.take(feats[g], cols, axis=0), axis=1, out=out)
+            out /= sizes[g]
     return _centroid_shape_stats(means[0], means[1], means[2])
 
 
@@ -263,9 +272,10 @@ def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnse
     if k < 1:
         raise ValueError("need at least one bootstrap replicate")
     group_feats = [ds.group_features(g) for g in GROUPS]
+    sizes = [len(f) for f in group_feats]
 
-    def draw(rng):
-        return [rng.integers(0, len(f), size=len(f)) for f in group_feats]
+    def draw(rng, keys):
+        return bootstrap_indices(rng, keys, sizes)
 
     stats = _resampled_shape_stats(ds, group_feats, k, seed, DOMAIN_BOOTSTRAP, draw)
     return BootstrapEnsemble(
@@ -422,12 +432,12 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
         raise ValueError("need at least one permutation")
     cfg = centroid_configuration(ds)
     obs = ibi_pair(side_lengths(cfg))
-    n_a, n_b = (len(ds.group_indices(g)) for g in GROUPS[:2])
-    end_b = n_a + n_b
 
-    def draw(rng):
-        order = rng.permutation(ds.n)
-        return order[:n_a], order[n_a:end_b], order[end_b:]
+    def draw(rng, keys):
+        idx = np.empty((len(keys), ds.n), dtype=np.int64)
+        for row, g in zip(idx, rekeyed_streams(rng, keys)):
+            row[:] = g.permutation(ds.n)
+        return idx
 
     stats = _resampled_shape_stats(ds, [ds.features] * 3, k, seed, DOMAIN_PERMUTATION, draw)
 
@@ -472,6 +482,8 @@ def coverage_simulation(
         raise ValueError("all simulation parameters must be positive (p >= 2)")
     if seed < 0:
         raise ValueError(f"seed (--seed) must be >= 0, got {seed}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi (--phi) must be finite, got {phi}")
     mean_cfg = mean_configuration_from_shape(r, phi, p=p)
     spec = GroupSpec(means=mean_cfg.landmarks * _SQRT3, sigma2=sigma2, n=n_per_group)
     tau_true = r * math.cos(phi - math.pi / 3.0)

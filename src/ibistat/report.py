@@ -12,6 +12,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class AnalysisConfig:
         if len(set(self.group_order.values())) != 3:
             raise ValueError("group_order must map to three distinct labels")
         if self.boot_k < 1:
-            raise ValueError("boot_k must be >= 1")
+            raise ValueError(f"boot_k (--boot) must be >= 1, got {self.boot_k}")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
             raise ValueError("levels must lie in (0, 1)")
         keys = [_level_key(lv) for lv in self.levels]
@@ -265,7 +266,9 @@ def _dump(obj, out: list) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        # json.dumps(obj, ensure_ascii=False): escapes quotes, backslashes
+        # and control characters, and nothing else
+        out.append(encode_basestring(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):

@@ -26,6 +26,8 @@ __all__ = [
     "stream_generator",
     "stream_keys",
     "rekeyed_streams",
+    "lemire_bounded",
+    "bootstrap_indices",
     "sample_null_configuration",
     "sample_null_shapes",
     "mean_configuration_from_shape",
@@ -125,14 +127,14 @@ def stream_keys(seed: int, domain: int, k: int) -> np.ndarray:
     return np.column_stack([w[0] | w[1] << 32, w[2] | w[3] << 32])
 
 
-def rekeyed_streams(rng: np.random.Generator, seed: int, domain: int, k: int):
-    """Yield ``rng`` re-keyed to the stream (seed, domain, j), for j < k.
+def rekeyed_streams(rng: np.random.Generator, keys: np.ndarray):
+    """Yield ``rng`` re-keyed to each row of ``keys``, in order.
 
     ``rng`` must be Philox based.  Each yield resets its counter to 0,
-    sets the key ``stream_keys`` derives and empties the output buffer,
-    so the draws of replicate j are those of ``stream_generator(seed,
-    domain, j)`` bit for bit; one generator serves every replicate, so
-    use it up before taking the next.
+    sets the key and empties the output buffer, so for the row j of
+    ``stream_keys(seed, domain, k)`` the draws are those of
+    ``stream_generator(seed, domain, j)`` bit for bit; one generator
+    serves every row, so use it up before taking the next.
     """
     bitgen = rng.bit_generator
     # Plain ints, not arrays: the state setter reads them item by item.
@@ -145,10 +147,73 @@ def rekeyed_streams(rng: np.random.Generator, seed: int, domain: int, k: int):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for key in stream_keys(seed, domain, k).tolist():
+    for key in keys.tolist():
         philox["key"] = key
         bitgen.state = state
         yield rng
+
+
+def lemire_bounded(words: np.ndarray, bounds: np.ndarray) -> tuple:
+    """numpy's bounded draws from raw 64-bit Philox words, for many rows.
+
+    ``Generator.integers(0, n)`` (int64, 2 <= n < 2**32) takes Lemire's
+    rule on the next 32-bit half: with the product ``half * n`` as
+    uint64, the draw is ``product >> 32`` and is rejected, and redrawn
+    from the next half, where ``product mod 2**32 < (2**32 - n) % n``.
+    Philox hands out the low half of each word, then the high half.
+    Row i of ``words`` holds one stream's next words; column c of the
+    result is its c-th half drawn with bound ``bounds[c]``.
+
+    Returns ``(draws, rejected)``: the (m, len(bounds)) int64 draws, and
+    a (m,) mask of the rows where a half was rejected.  numpy would
+    have drawn again there and shifted every later draw, so those rows
+    are wrong and must be redrawn by ``integers`` itself.
+    """
+    m, n_words = words.shape
+    halves = np.empty((m, 2 * n_words), dtype=np.uint64)
+    np.bitwise_and(words, np.uint64(_MASK32), out=halves[:, 0::2])
+    np.right_shift(words, np.uint64(32), out=halves[:, 1::2])
+    draws = halves[:, : len(bounds)]
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    np.multiply(draws, bounds, out=draws)
+    thresholds = ((np.uint64(2**32) - bounds) % bounds).astype(np.uint32)
+    # the cast to uint32 keeps the low 32 bits, in half the memory
+    rejected = (draws.astype(np.uint32) < thresholds).any(axis=1)
+    np.right_shift(draws, np.uint64(32), out=draws)
+    return draws.view(np.int64), rejected
+
+
+def bootstrap_indices(rng: np.random.Generator, keys: np.ndarray, sizes) -> np.ndarray:
+    """Stratified resampling indices for the streams keyed by ``keys``.
+
+    Row i is ``[g.integers(0, n, size=n) for n in sizes]``, concatenated,
+    where g is ``rng`` re-keyed to ``keys[i]`` (``rekeyed_streams``).
+    The draws come from one ``random_raw`` call per row and one
+    ``lemire_bounded`` pass over all rows; the rare row with a rejected
+    half is drawn again by ``integers`` itself.  Same bits either way.
+    """
+    sizes = [int(n) for n in sizes]
+    if not all(2 <= n < 2**32 for n in sizes):
+        # a bound of 1 draws nothing in numpy; 2**32 and up take 64 bits
+        raise ValueError(f"group sizes must lie in [2, 2**32), got {sizes}")
+    n_words = (sum(sizes) + 1) // 2
+    words = np.empty((len(keys), n_words), dtype=np.uint64)
+    for row, g in zip(words, rekeyed_streams(rng, keys)):
+        row[:] = g.bit_generator.random_raw(n_words)
+    idx, rejected = lemire_bounded(words, np.repeat(sizes, sizes))
+    del words
+    redo = np.flatnonzero(rejected)
+    idx[redo] = _integers_rows(rng, keys[redo], sizes)
+    return idx
+
+
+def _integers_rows(rng: np.random.Generator, keys: np.ndarray, sizes: list) -> np.ndarray:
+    """numpy's own draws: row i is ``integers(0, n, size=n)`` for each n
+    in sizes, concatenated, on ``rng`` re-keyed to ``keys[i]``."""
+    rows = np.empty((len(keys), sum(sizes)), dtype=np.int64)
+    for row, g in zip(rows, rekeyed_streams(rng, keys)):
+        row[:] = np.concatenate([g.integers(0, n, size=n) for n in sizes])
+    return rows
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ report always renders to identical bytes.
 
 from __future__ import annotations
 
+import html
+
 from .shape import SideLengths, configuration_from_sides
 
 _W, _H = 720, 520
@@ -69,7 +71,7 @@ def render_shape_space_svg(
         f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_fmt(_CX)}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{html.escape(title, quote=False)}</text>',
         # the disk and the dashed half-radius circle
         f'<circle cx="{_fmt(_CX)}" cy="{_fmt(_CY)}" r="{_fmt(_R)}" '
         f'fill="#fbfbfb" stroke="black" stroke-width="1.5"/>',

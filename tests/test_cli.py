@@ -199,6 +199,38 @@ def test_analyze_svg_output(tmp_path):
     assert svg.count("<circle") > 400  # region member points drawn
 
 
+def test_analyze_report_escapes_control_characters_in_names(tmp_path):
+    names = ["tab\there", "new\nline", 'say "hi"\\']
+    header = ",".join('"' + n.replace('"', '""') + '"' for n in names) + ",g\n"
+    rows = "".join(f"{i},{i * i % 7},{i % 5},{'abc'[i % 3]}\n" for i in range(12))
+    path = write_csv(tmp_path / "odd.csv", header + rows)
+    report = tmp_path / "r.json"
+    plot = tmp_path / "r.svg"
+    assert main([
+        "analyze", "--input", path, "--group-col", "g", "--groups", "A=a,B=b,C=c",
+        "--boot", "100", "--report", str(report), "--plot", str(plot),
+    ]) == 0
+    text = report.read_text(encoding="utf-8")
+    assert "\t" not in text and "\n" not in text.rstrip("\n")
+    assert json.loads(text)["config"]["feature_columns"] == names
+    assert is_well_formed_xml(plot.read_text(encoding="utf-8"))
+
+
+def test_report_strings_escape_like_json():
+    for s in ["plain", 'q"uote\\', "caf\u00e9 \u2028", "".join(map(chr, range(0x20)))]:
+        assert dumps_report([s]) == json.dumps([s], ensure_ascii=False) + "\n"
+
+
+def test_svg_escapes_markup_in_feature_names():
+    from ibistat.svgplot import render_shape_space_svg
+
+    observed = {"u": 0.3, "v": 0.4, "a2": 0.3, "b2": 0.4, "c2": 0.3}
+    svg = render_shape_space_svg(observed, title="shape space: a<b, c&d")
+    assert is_well_formed_xml(svg)
+    title = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "shape space: a<b, c&d"
+
+
 def test_svg_without_regions_draws_disk_and_observed():
     from ibistat.svgplot import render_shape_space_svg
 
@@ -271,6 +303,16 @@ def test_analyze_rejects_negative_counts(tmp_path, capsys, option, field):
     err = capsys.readouterr().err
     assert option in err and field in err
     assert not report.exists()
+
+
+def test_analyze_rejects_zero_boot(tmp_path, capsys):
+    code = main([
+        "analyze", "--input", iris_csv_path(), "--group-col", "species",
+        "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "0",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ibistat: error:") and "--boot" in err
 
 
 def test_analyze_groups_of_size_two(tmp_path):
@@ -350,6 +392,17 @@ def test_simulate_rejects_negative_seed(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("ibistat: error:") and "--seed" in err
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf"])
+def test_simulate_rejects_non_finite_phi(capsys, phi):
+    code = main([
+        "simulate", "--r", "0.5", "--phi", phi, "--p", "2", "--n", "10",
+        "--sigma2", "1.0", "--sims", "1", "--boot", "50",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ibistat: error:") and "--phi" in err
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ibistat import inference
+from ibistat import inference, sampling
 from ibistat import (
     GroupedDataset,
     InsufficientDataError,
@@ -21,6 +21,7 @@ from ibistat import (
     stratified_bootstrap,
     stream_generator,
 )
+from ibistat.sampling import DOMAIN_BOOTSTRAP
 from ibistat.shape import _centroid_shape_stats
 from _oracles import quantile_type7
 
@@ -213,6 +214,70 @@ def test_resampling_builds_one_generator_per_call(iris_ds, monkeypatch, k):
     assert len(calls) == 1
     permutation_test(iris_ds, k=k, seed=4)
     assert len(calls) == 2
+
+
+def reference_bootstrap(ds, k, seed):
+    """The bootstrap as a loop: a fresh generator, one integers call and
+    one fancy-indexed mean per group and replicate."""
+    feats = [ds.group_features(g) for g in inference.GROUPS]
+    means = np.empty((3, k, ds.p))
+    for j in range(k):
+        rng = stream_generator(seed, DOMAIN_BOOTSTRAP, j)
+        for g, f in enumerate(feats):
+            means[g, j] = f[rng.integers(0, len(f), size=len(f))].mean(axis=0)
+    return _centroid_shape_stats(means[0], means[1], means[2])
+
+
+def assert_ensemble_equals(ens, stats):
+    for name in ("tau", "gamma", "u", "v", "a2", "b2", "c2"):
+        np.testing.assert_array_equal(getattr(ens, name), stats[name])
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (2, 3), (7, 1), (20, 1), (15, 4)])
+@pytest.mark.parametrize("seed", [0, 9, 2**63 + 5])
+def test_bootstrap_matches_per_replicate_reference(n, p, seed):
+    # 3n observations: odd and even totals, groups of size 2, p = 1
+    ds = make_dataset(np.random.default_rng(n * p), n=n, p=p)
+    ens = stratified_bootstrap(ds, k=60, seed=seed)
+    assert_ensemble_equals(ens, reference_bootstrap(ds, 60, seed))
+
+
+def count_redrawn_rows(monkeypatch):
+    redrawn = []
+    integers_rows = sampling._integers_rows
+
+    def spy(rng, keys, sizes):
+        redrawn.append(len(keys))
+        return integers_rows(rng, keys, sizes)
+
+    monkeypatch.setattr(sampling, "_integers_rows", spy)
+    return redrawn
+
+
+@pytest.mark.parametrize("seed, rejected", [(1, 16), (3, 22), (7, 25)])
+def test_bootstrap_redraws_rows_with_a_rejected_draw(monkeypatch, seed, rejected):
+    # bound 20000 rejects a 32-bit half with probability 7296 / 2**32, so
+    # about one replicate in ten of 60000 draws takes numpy's own path
+    ds = make_dataset(np.random.default_rng(5), n=20000, p=1)
+    redrawn = count_redrawn_rows(monkeypatch)
+    ens = stratified_bootstrap(ds, k=200, seed=seed)
+    assert sum(redrawn) == rejected
+    assert_ensemble_equals(ens, reference_bootstrap(ds, 200, seed))
+
+
+def test_bootstrap_all_rows_redrawn_is_bit_identical(iris_ds, monkeypatch):
+    vectorised = stratified_bootstrap(iris_ds, k=300, seed=12)
+    lemire_bounded = sampling.lemire_bounded
+
+    def reject_all(words, bounds):
+        draws, rejected = lemire_bounded(words, bounds)
+        return draws, np.ones_like(rejected)
+
+    monkeypatch.setattr(sampling, "lemire_bounded", reject_all)
+    redrawn = count_redrawn_rows(monkeypatch)
+    redone = stratified_bootstrap(iris_ds, k=300, seed=12)
+    assert sum(redrawn) == 300
+    assert_ensemble_equals(redone, vars(vectorised))
 
 
 def test_bootstrap_memory_stays_bounded():

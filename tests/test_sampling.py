@@ -18,6 +18,8 @@ from ibistat.sampling import (
     DOMAIN_NULL,
     DOMAIN_PERMUTATION,
     DOMAIN_SIMULATION,
+    bootstrap_indices,
+    lemire_bounded,
     rekeyed_streams,
     stream_keys,
 )
@@ -74,7 +76,7 @@ def test_rekeyed_streams_draw_like_fresh_generators():
     rng = stream_generator(seed, DOMAIN_BOOTSTRAP, 0)
     rng.integers(0, 5, size=3)  # an odd count of 32-bit draws
     assert rng.bit_generator.state["has_uint32"] == 1
-    for j, g in enumerate(rekeyed_streams(rng, seed, domain, k)):
+    for j, g in enumerate(rekeyed_streams(rng, stream_keys(seed, domain, k))):
         assert g is rng
         fresh = stream_generator(seed, domain, j)
         np.testing.assert_array_equal(
@@ -87,6 +89,48 @@ def test_rekeyed_streams_draw_like_fresh_generators():
         if not g.bit_generator.state["has_uint32"]:
             g.integers(0, 13)
         assert g.bit_generator.state["has_uint32"] == 1
+
+
+def reference_bootstrap_indices(seed, k, sizes):
+    """One fresh generator and one integers call per group and replicate."""
+    rows = []
+    for j in range(k):
+        g = stream_generator(seed, DOMAIN_BOOTSTRAP, j)
+        rows.append(np.concatenate([g.integers(0, n, size=n) for n in sizes]))
+    return np.array(rows)
+
+
+# odd and even totals, groups of size 2, a total of one word per row
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 3, 2), (5, 8, 13), (50, 50, 50), (2, 1999, 7)])
+@pytest.mark.parametrize("seed", [0, 7, 2021, 2**40 + 3])
+def test_bootstrap_indices_match_numpy_integers(seed, sizes):
+    k = 40
+    rng = stream_generator(seed, DOMAIN_BOOTSTRAP, 0)
+    idx = bootstrap_indices(rng, stream_keys(seed, DOMAIN_BOOTSTRAP, k), sizes)
+    assert idx.shape == (k, sum(sizes)) and idx.dtype == np.int64
+    np.testing.assert_array_equal(idx, reference_bootstrap_indices(seed, k, sizes))
+
+
+def test_lemire_rejects_word_zero_with_bound_three():
+    # (2**32 - 3) % 3 == 1, and 0 * 3 leaves 0 < 1 in the low 32 bits
+    draws, rejected = lemire_bounded(np.zeros((1, 1), dtype=np.uint64), np.array([3]))
+    assert rejected.tolist() == [True]
+    # the high half of a word is the second draw; the low half leads
+    word = np.array([[(3 << 32) | 1]], dtype=np.uint64)  # low 1, high 3
+    draws, rejected = lemire_bounded(word, np.array([5, 5]))
+    assert rejected.tolist() == [False]
+    assert draws.tolist() == [[(1 * 5) >> 32, (3 * 5) >> 32]]
+    top = np.array([[0xFFFFFFFF_FFFFFFFF]], dtype=np.uint64)
+    draws, rejected = lemire_bounded(top, np.array([7, 2**32 - 1]))
+    assert draws.tolist() == [[6, 2**32 - 2]] and rejected.tolist() == [False]
+
+
+def test_bootstrap_indices_reject_sizes_numpy_draws_differently():
+    rng = stream_generator(0, DOMAIN_BOOTSTRAP, 0)
+    keys = stream_keys(0, DOMAIN_BOOTSTRAP, 2)
+    for sizes in ([1, 3, 3], [2**32, 2, 2]):
+        with pytest.raises(ValueError, match="group sizes"):
+            bootstrap_indices(rng, keys, sizes)
 
 
 def test_streams_are_disjoint():

@@ -243,6 +243,16 @@ def _resampled_shape_stats(
     temporaries drawing it) per observation.  Each replicate's means
     depend only on its own indices, so the chunk size never changes a
     bit.
+
+    Group g of a chunk is gathered as an (n_g, m, p) block and summed
+    over its observation axis 0.  numpy adds the n_g rows one after
+    another, as it sums the rows of one replicate's (n_g, p) block, so
+    the bits are those of a per-replicate mean; but each add covers the
+    whole chunk's m * p values instead of one replicate's p.  At p = 1
+    the block is gathered as (m, n_g, 1) and summed over axis 1: numpy
+    drops the unit axis and sums each replicate's n_g values pairwise,
+    as ``mean`` does over one column, where the (n_g, m) layout would
+    add them one after another and change the low bits.
     """
     rng = stream_generator(seed, domain, 0)
     keys = stream_keys(seed, domain, k)
@@ -255,7 +265,11 @@ def _resampled_shape_stats(
         for g in range(3):
             out = means[g, lo : lo + step]
             cols = idx[:, ends[g] : ends[g + 1]]
-            np.add.reduce(np.take(feats[g], cols, axis=0), axis=1, out=out)
+            if ds.p == 1:
+                # (m, n_g, 1) drops its unit axis and is summed pairwise
+                np.add.reduce(np.take(feats[g], cols, axis=0), axis=1, out=out)
+            else:
+                np.add.reduce(np.take(feats[g], cols.T, axis=0), axis=0, out=out)
             out /= sizes[g]
     return _centroid_shape_stats(means[0], means[1], means[2])
 
@@ -478,12 +492,16 @@ def coverage_simulation(
     mean interval length, the fraction of shape-space regions whose depth
     threshold the true (u, v) attains, and the mean region area.
     """
-    if min(n_per_group, n_sims, k) < 1 or sigma2 <= 0 or p < 2:
+    if min(n_per_group, n_sims, k) < 1 or p < 2:
         raise ValueError("all simulation parameters must be positive (p >= 2)")
     if seed < 0:
         raise ValueError(f"seed (--seed) must be >= 0, got {seed}")
     if not math.isfinite(phi):
         raise ValueError(f"phi (--phi) must be finite, got {phi}")
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"r (--r) must lie in [0, 1], got {r}")
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"sigma2 (--sigma2) must be positive and finite, got {sigma2}")
     mean_cfg = mean_configuration_from_shape(r, phi, p=p)
     spec = GroupSpec(means=mean_cfg.landmarks * _SQRT3, sigma2=sigma2, n=n_per_group)
     tau_true = r * math.cos(phi - math.pi / 3.0)

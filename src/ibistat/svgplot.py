@@ -25,6 +25,18 @@ _MARKERS = [
 ]
 
 
+# characters XML 1.0 allows in no form: C0 controls other than tab,
+# newline and carriage return, and the non-characters U+FFFE and U+FFFF
+_XML_FORBIDDEN = dict.fromkeys(
+    [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd"
+)
+
+
+def _xml_text(s: str) -> str:
+    """``s`` as XML character data, with forbidden characters as U+FFFD."""
+    return html.escape(s.translate(_XML_FORBIDDEN), quote=False)
+
+
 def _fmt(x: float) -> str:
     return format(x, ".3f")
 
@@ -71,7 +83,7 @@ def render_shape_space_svg(
         f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_fmt(_CX)}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{html.escape(title, quote=False)}</text>',
+        f'font-family="sans-serif" font-size="15">{_xml_text(title)}</text>',
         # the disk and the dashed half-radius circle
         f'<circle cx="{_fmt(_CX)}" cy="{_fmt(_CY)}" r="{_fmt(_R)}" '
         f'fill="#fbfbfb" stroke="black" stroke-width="1.5"/>',

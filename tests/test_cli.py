@@ -216,6 +216,21 @@ def test_analyze_report_escapes_control_characters_in_names(tmp_path):
     assert is_well_formed_xml(plot.read_text(encoding="utf-8"))
 
 
+def test_analyze_svg_replaces_characters_xml_forbids(tmp_path):
+    header = '"a\x01b","c\ufffed",g\n'
+    rows = "".join(f"{i},{i * i % 7},{'abc'[i % 3]}\n" for i in range(12))
+    path = write_csv(tmp_path / "ctl.csv", header + rows)
+    plot = tmp_path / "ctl.svg"
+    assert main([
+        "analyze", "--input", path, "--group-col", "g", "--groups", "A=a,B=b,C=c",
+        "--boot", "100", "--report", str(tmp_path / "ctl.json"), "--plot", str(plot),
+    ]) == 0
+    svg = plot.read_text(encoding="utf-8")
+    assert is_well_formed_xml(svg)
+    title = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "shape space: a\ufffdb, c\ufffdd"
+
+
 def test_report_strings_escape_like_json():
     for s in ["plain", 'q"uote\\', "caf\u00e9 \u2028", "".join(map(chr, range(0x20)))]:
         assert dumps_report([s]) == json.dumps([s], ensure_ascii=False) + "\n"
@@ -403,6 +418,20 @@ def test_simulate_rejects_non_finite_phi(capsys, phi):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("ibistat: error:") and "--phi" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--sigma2", "nan"), ("--sigma2", "inf"), ("--sigma2", "0"),
+    ("--r", "nan"), ("--r", "inf"), ("--r", "-0.1"), ("--r", "1.5"),
+])
+def test_simulate_errors_name_their_option(capsys, option, value):
+    args = {"--r": "0.5", "--phi": "1.0", "--p": "2", "--n": "10",
+            "--sigma2": "1.0", "--sims": "1", "--boot": "50"}
+    args[option] = value
+    code = main(["simulate", *(x for pair in args.items() for x in pair)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ibistat: error:") and f"({option})" in err
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from ibistat import (
     stratified_bootstrap,
     stream_generator,
 )
-from ibistat.sampling import DOMAIN_BOOTSTRAP
+from ibistat.sampling import DOMAIN_BOOTSTRAP, DOMAIN_PERMUTATION
 from ibistat.shape import _centroid_shape_stats
 from _oracles import quantile_type7
 
@@ -181,22 +181,23 @@ def test_bootstrap_identity_hook_matches_observed(iris_ds):
 
 
 def test_resampling_chunk_size_does_not_change_results(iris_ds, monkeypatch):
+    # _CHUNK_VALUES = 1 gives one-replicate chunks (m = 1); p = 1 and
+    # p = 2 are where the gathered block loses or keeps a short axis
     rng = np.random.default_rng(8)
-    ds = make_dataset(rng, n=40, p=3, offsets=rng.normal(size=(3, 3)))
+    datasets = [(iris_ds, 257)] + [
+        (make_dataset(rng, n=40, p=p, offsets=rng.normal(size=(3, p))), 100)
+        for p in (1, 2, 3)
+    ]
     runs = []
     for chunk in (inference._CHUNK_VALUES, 1):
         monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk)
-        runs.append((
-            stratified_bootstrap(iris_ds, k=257, seed=4),
-            stratified_bootstrap(ds, k=100, seed=2),
-            permutation_test(iris_ds, k=150, seed=3),
-            permutation_test(ds, k=150, seed=5),
-        ))
-    default, one = runs
-    for a, b in zip(default[:2], one[:2]):
-        for name in ("tau", "gamma", "u", "v", "a2", "b2", "c2"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    assert default[2:] == one[2:]
+        runs.append([
+            (stratified_bootstrap(ds, k=k, seed=4), permutation_test(ds, k=150, seed=5))
+            for ds, k in datasets
+        ])
+    for (ens_a, perm_a), (ens_b, perm_b) in zip(*runs):
+        assert_ensemble_equals(ens_a, vars(ens_b))
+        assert perm_a == perm_b
 
 
 @pytest.mark.parametrize("k", [1, 7, 300])
@@ -233,13 +234,66 @@ def assert_ensemble_equals(ens, stats):
         np.testing.assert_array_equal(getattr(ens, name), stats[name])
 
 
-@pytest.mark.parametrize("n, p", [(2, 1), (2, 3), (7, 1), (20, 1), (15, 4)])
+@pytest.mark.parametrize("n, p", [(2, 1), (2, 3), (7, 1), (20, 1), (15, 4), (9, 2), (12, 16)])
 @pytest.mark.parametrize("seed", [0, 9, 2**63 + 5])
 def test_bootstrap_matches_per_replicate_reference(n, p, seed):
     # 3n observations: odd and even totals, groups of size 2, p = 1
     ds = make_dataset(np.random.default_rng(n * p), n=n, p=p)
     ens = stratified_bootstrap(ds, k=60, seed=seed)
     assert_ensemble_equals(ens, reference_bootstrap(ds, 60, seed))
+
+
+def reference_permutation_means(ds, k, seed):
+    """The permutation test's group means as a loop: a fresh generator,
+    one permutation and one fancy-indexed mean per group and replicate."""
+    sizes = [len(ds.group_indices(g)) for g in inference.GROUPS]
+    ends = np.cumsum([0] + sizes)
+    means = np.empty((3, k, ds.p))
+    for j in range(k):
+        perm = stream_generator(seed, DOMAIN_PERMUTATION, j).permutation(ds.n)
+        for g in range(3):
+            means[g, j] = ds.features[perm[ends[g] : ends[g + 1]]].mean(axis=0)
+    return means
+
+
+def unequal_dataset(p, sizes=(11, 7, 16)):
+    # labels interleaved, so group rows are not contiguous in ds.features
+    rng = np.random.default_rng(p)
+    labels = rng.permutation(np.repeat(np.array(["A", "B", "C"]), sizes))
+    return GroupedDataset(features=rng.normal(size=(sum(sizes), p)), labels=labels)
+
+
+def chunk_values(chunk, ds):
+    # "default", or a chunk of that many replicates
+    if chunk == "default":
+        return inference._CHUNK_VALUES
+    return chunk * ds.n * (ds.p + 2)
+
+
+@pytest.mark.parametrize("chunk", ["default", 1, 7])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 16])
+def test_permutation_matches_per_replicate_reference(monkeypatch, p, chunk):
+    ds = unequal_dataset(p)
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(chunk, ds))
+    captured = []
+
+    def spy(xa, xb, xc):
+        captured.append(np.stack([xa, xb, xc]))
+        return _centroid_shape_stats(xa, xb, xc)
+
+    monkeypatch.setattr(inference, "_centroid_shape_stats", spy)
+    permutation_test(ds, k=60, seed=3)
+    (means,) = captured
+    np.testing.assert_array_equal(means, reference_permutation_means(ds, 60, 3))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 16])
+def test_bootstrap_matches_per_replicate_reference_in_small_chunks(monkeypatch, p, chunk):
+    ds = unequal_dataset(p)
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(chunk, ds))
+    ens = stratified_bootstrap(ds, k=60, seed=5)
+    assert_ensemble_equals(ens, reference_bootstrap(ds, 60, 5))
 
 
 def count_redrawn_rows(monkeypatch):

@@ -103,24 +103,22 @@ def _cmd_analyze(args) -> int:
         levels=args.levels,
         seed=args.seed,
         perm_k=args.perm,
-        report_path=args.report,
-        plot_path=args.plot,
     )
     ds = load_csv(config.input_path, config)
     report, _, regions = run_analysis(config, ds)
     text = dumps_report(report)
-    if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8") as fh:
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if config.plot_path:
+    if args.plot:
         points = {
             key: [(float(u), float(v)) for u, v in cr.member_points]
             for key, cr in regions.items()
         }
         svg = svg_from_report(report, ensemble_points=points)
-        with open(config.plot_path, "w", encoding="utf-8") as fh:
+        with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write(svg)
     return 0
 

@@ -21,7 +21,7 @@ from .errors import (
     InsufficientReplicatesError,
     SingularCovarianceError,
 )
-from .metrics import IbiPair, cosine_ibi, ibi_pair, tau_ibi
+from .metrics import IbiPair, ibi_pair, tau_ibi
 from .sampling import (
     DOMAIN_BOOTSTRAP,
     DOMAIN_PERMUTATION,
@@ -87,12 +87,15 @@ class GroupedDataset:
             raise ValueError("labels must align with feature rows")
         if not np.all(np.isfinite(x)):
             raise ValueError("feature values must be finite")
-        bad = sorted(set(labels) - set(GROUPS))
-        if bad:
+        # each group's row indices, kept read-only for every later reader
+        rows = {g: np.flatnonzero(labels == g) for g in GROUPS}
+        if sum(r.size for r in rows.values()) != labels.size:
+            bad = sorted(set(labels) - set(GROUPS))
             raise ValueError(f"labels must be in {GROUPS}, got {bad}")
-        for g in GROUPS:
-            if int(np.count_nonzero(labels == g)) < 2:
+        for g, r in rows.items():
+            if r.size < 2:
                 raise ValueError(f"group {g} needs at least 2 observations")
+            r.setflags(write=False)
         names = tuple(self.feature_names) or tuple(f"f{i}" for i in range(x.shape[1]))
         if len(names) != x.shape[1]:
             raise ValueError("feature_names must match the number of features")
@@ -103,6 +106,7 @@ class GroupedDataset:
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def from_observations(cls, observations, feature_names=()) -> "GroupedDataset":
@@ -120,13 +124,14 @@ class GroupedDataset:
         return self.features.shape[0]
 
     def group_indices(self, label: str) -> np.ndarray:
-        return np.flatnonzero(self.labels == label)
+        """The rows of group ``label``, ascending; read-only."""
+        return self._rows[label]
 
     def group_features(self, label: str) -> np.ndarray:
-        return self.features[self.group_indices(label)]
+        return self.features[self._rows[label]]
 
     def n_per_group(self) -> dict:
-        return {g: int(np.count_nonzero(self.labels == g)) for g in GROUPS}
+        return {g: r.size for g, r in self._rows.items()}
 
 
 def standardize(ds: GroupedDataset, mode: str = "feature") -> GroupedDataset:
@@ -147,9 +152,8 @@ def standardize(ds: GroupedDataset, mode: str = "feature") -> GroupedDataset:
             raise SingularCovarianceError(f"features with zero variance: {bad}")
         z = (x - x.mean(axis=0)) / sd
     elif mode == "whiten":
-        resid = np.concatenate(
-            [ds.group_features(g) - ds.group_features(g).mean(axis=0) for g in GROUPS]
-        )
+        feats = [ds.group_features(g) for g in GROUPS]
+        resid = np.concatenate([f - f.mean(axis=0) for f in feats])
         cov = resid.T @ resid / (ds.n - 3)
         eigval, eigvec = np.linalg.eigh(cov)
         if eigval[0] <= 0.0 or eigval[-1] / eigval[0] >= 1e12:
@@ -169,10 +173,10 @@ def centroid_configuration(ds: GroupedDataset) -> Configuration:
 
 
 def observed_ibi(ds: GroupedDataset, mode: str = "feature") -> IbiPair:
-    """Both indices of the centroid triangle after standardization."""
+    """Both indices of the centroid triangle after standardization; gamma
+    is NaN where B's centroid coincides with A's or C's."""
     cfg = centroid_configuration(standardize(ds, mode))
-    sides = side_lengths(cfg)
-    return IbiPair(gamma=cosine_ibi(sides), tau=tau_ibi(shape_point(cfg)))
+    return IbiPair(gamma=ibi_pair(side_lengths(cfg)).gamma, tau=tau_ibi(shape_point(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +260,7 @@ def _resampled_shape_stats(
     """
     rng = stream_generator(seed, domain, 0)
     keys = stream_keys(seed, domain, k)
-    sizes = [len(ds.group_indices(g)) for g in GROUPS]
+    sizes = list(ds.n_per_group().values())
     ends = np.cumsum([0] + sizes)
     step = max(1, _CHUNK_VALUES // (ds.n * (ds.p + 2)))
     means = np.empty((3, k, ds.p))
@@ -336,17 +340,19 @@ class ConfidenceRegion:
 
 
 def _hull_and_area(points: np.ndarray) -> tuple:
-    """Convex hull vertices and area, degenerating gracefully."""
-    uniq = np.unique(points, axis=0)
-    if uniq.shape[0] < 3:
-        return uniq, 0.0
-    try:
-        from scipy.spatial import ConvexHull, QhullError
+    """Convex hull vertices and area.
 
+    Points that span no area (one or two points, copies of one or two
+    points, or a collinear set) make qhull fail; their hull is then their
+    distinct points, sorted, with area 0.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
         hull = ConvexHull(points)
-        return points[hull.vertices], float(hull.volume)
-    except QhullError:  # collinear cloud
-        return uniq, 0.0
+    except QhullError:
+        return np.unique(points, axis=0), 0.0
+    return points[hull.vertices], float(hull.volume)
 
 
 def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
@@ -354,7 +360,10 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
 
     The depth threshold is the largest depth value whose upper level set
     contains at least ``level`` of the valid replicates, i.e. the
-    smallest achievable covering fraction at or above the target.
+    smallest achievable covering fraction at or above the target.  With
+    c = ceil(level * n) for n valid replicates, that is the (n - c)-th
+    smallest depth: the c deepest points reach it, and any larger value
+    leaves out that point and every point below it.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -370,11 +379,7 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
         )
     points = ens.valid_cloud()
     depths = ens.cloud_depths
-    ascending = np.sort(depths)
-    candidates = np.unique(depths)[::-1]
-    counts = depths.size - np.searchsorted(ascending, candidates, side="left")
-    need = level * valid.size
-    threshold = float(candidates[np.argmax(counts >= need)])
+    threshold = float(np.sort(depths)[valid.size - math.ceil(level * valid.size)])
     member = depths >= threshold
     hull, area = _hull_and_area(points[member])
     return ConfidenceRegion(

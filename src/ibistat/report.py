@@ -47,7 +47,8 @@ def _level_key(level: float) -> str:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Everything a run needs; echoed verbatim into the report."""
+    """Everything a run needs; the report's ``config`` block echoes it,
+    with the feature columns as resolved against the CSV header."""
 
     input_path: str
     group_column: str
@@ -58,8 +59,6 @@ class AnalysisConfig:
     levels: tuple = (0.8, 0.95)
     seed: int = 0
     perm_k: int = 0
-    report_path: str = ""
-    plot_path: str = ""
 
     def __post_init__(self):
         if sorted(self.group_order) != sorted(GROUPS):
@@ -244,7 +243,7 @@ def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
         },
         "data": {
             "n": ds.n,
-            "n_per_group": {g: ds.n_per_group()[g] for g in GROUPS},
+            "n_per_group": ds.n_per_group(),
         },
         "observed": observed,
         "confidence_intervals": cis,

@@ -160,22 +160,20 @@ def lemire_bounded(words: np.ndarray, bounds: np.ndarray) -> tuple:
     rule on the next 32-bit half: with the product ``half * n`` as
     uint64, the draw is ``product >> 32`` and is rejected, and redrawn
     from the next half, where ``product mod 2**32 < (2**32 - n) % n``.
-    Philox hands out the low half of each word, then the high half.
-    Row i of ``words`` holds one stream's next words; column c of the
-    result is its c-th half drawn with bound ``bounds[c]``.
+    Philox hands out the low half of each word, then the high half,
+    which is the order of a little-endian word's two uint32s: the halves
+    are a view of the words as ``<u4``, in any host byte order.  Row i
+    of ``words`` holds one stream's next words; column c of the result
+    is its c-th half drawn with bound ``bounds[c]``.
 
     Returns ``(draws, rejected)``: the (m, len(bounds)) int64 draws, and
     a (m,) mask of the rows where a half was rejected.  numpy would
     have drawn again there and shifted every later draw, so those rows
     are wrong and must be redrawn by ``integers`` itself.
     """
-    m, n_words = words.shape
-    halves = np.empty((m, 2 * n_words), dtype=np.uint64)
-    np.bitwise_and(words, np.uint64(_MASK32), out=halves[:, 0::2])
-    np.right_shift(words, np.uint64(32), out=halves[:, 1::2])
-    draws = halves[:, : len(bounds)]
+    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")
     bounds = np.asarray(bounds, dtype=np.uint64)
-    np.multiply(draws, bounds, out=draws)
+    draws = halves[:, : len(bounds)] * bounds
     thresholds = ((np.uint64(2**32) - bounds) % bounds).astype(np.uint32)
     # the cast to uint32 keeps the low 32 bits, in half the memory
     rejected = (draws.astype(np.uint32) < thresholds).any(axis=1)

@@ -260,16 +260,6 @@ class KendallSpherical:
         object.__setattr__(self, "theta", min(max(theta, 0.0), math.pi / 2.0))
         object.__setattr__(self, "psi", float(self.psi) % (2.0 * math.pi))
 
-    def cartesian(self) -> np.ndarray:
-        """Position on the radius-1/2 shape hemisphere in R^3."""
-        return 0.5 * np.array(
-            [
-                math.sin(self.theta) * math.cos(self.psi),
-                math.sin(self.theta) * math.sin(self.psi),
-                math.cos(self.theta),
-            ]
-        )
-
 
 def center(config: Configuration) -> Configuration:
     """Translate the configuration so the landmark mean is the origin."""

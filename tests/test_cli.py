@@ -134,6 +134,17 @@ def test_analyze_report_consistency(tmp_path, iris_ds):
     assert report["diagnostics"]["degenerate_replicates"] == 0
 
 
+def test_report_config_echoes_every_config_field(iris_ds):
+    import dataclasses
+
+    from ibistat.report import AnalysisConfig
+
+    report, _, _ = run_analysis(iris_config(), iris_ds)
+    names = {f.name for f in dataclasses.fields(AnalysisConfig)}
+    echoed = {"standardize_mode" if k == "standardize" else k for k in report["config"]}
+    assert names == echoed
+
+
 def test_analyze_byte_identical_reruns(tmp_path):
     a = run_analyze(tmp_path, "a")
     b = run_analyze(tmp_path, "b")

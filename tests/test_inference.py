@@ -49,6 +49,31 @@ def test_dataset_from_observations():
         GroupedDataset.from_observations([("A", [0.0]), ("B", [1.0]), ("D", [2.0])])
 
 
+def test_group_indices_are_read_only_rows_of_interleaved_labels():
+    labels = np.array(list("CABACBBACC"))
+    ds = GroupedDataset(features=np.arange(20.0).reshape(10, 2), labels=labels)
+    for g in "ABC":
+        idx = ds.group_indices(g)
+        np.testing.assert_array_equal(idx, np.flatnonzero(labels == g))
+        assert idx is ds.group_indices(g)  # built once, by the constructor
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0] = 0
+        np.testing.assert_array_equal(ds.group_features(g), ds.features[labels == g])
+    assert ds.n_per_group() == {"A": 3, "B": 3, "C": 4}
+
+
+@pytest.mark.parametrize("labels, message", [
+    ("AABBCCED", "labels must be in ('A', 'B', 'C'), got ['D', 'E']"),
+    ("AABCCD", "labels must be in ('A', 'B', 'C'), got ['D']"),
+    ("AABCC", "group B needs at least 2 observations"),
+    ("ABBCC", "group A needs at least 2 observations"),
+])
+def test_dataset_label_errors(labels, message):
+    with pytest.raises(ValueError) as exc:
+        GroupedDataset(features=np.zeros((len(labels), 1)), labels=np.array(list(labels)))
+    assert str(exc.value) == message
+
+
 def test_standardize_none_is_identity(iris_ds):
     assert standardize(iris_ds, "none") is iris_ds
 
@@ -121,6 +146,15 @@ def test_observed_ibi_exact_midpoint_dataset():
     pair = observed_ibi(ds, mode="none")
     assert abs(pair.tau - 1.0) <= 1e-9
     assert abs(pair.gamma - 1.0) <= 1e-9
+
+
+def test_observed_ibi_gamma_undefined_when_b_meets_a():
+    # means A = B = (1, 0), C = (6, 5): side c vanishes, so a2 = b2 = 1/2
+    feats = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0], [5.0, 5.0], [7.0, 5.0]])
+    ds = GroupedDataset(features=feats, labels=np.array(list("AABBCC")))
+    pair = observed_ibi(ds, mode="none")
+    assert math.isnan(pair.gamma)
+    assert abs(pair.tau - 0.5) <= 1e-12
 
 
 def test_observed_ibi_iris_sl_pw_standardized():
@@ -462,6 +496,79 @@ def test_confidence_region_narrow_band_near_degenerate_observed():
     # overwhelming majority extremely close
     assert np.all(radii > 0.97)
     assert np.mean(radii > 0.99) > 0.95
+
+
+def reference_threshold(depths, level):
+    """The largest depth whose upper level set holds >= level of the
+    points, found by counting the points at or above each distinct depth."""
+    ascending = np.sort(depths)
+    candidates = np.unique(depths)[::-1]
+    counts = depths.size - np.searchsorted(ascending, candidates, side="left")
+    return float(candidates[np.argmax(counts >= level * depths.size)])
+
+
+def ensemble_of(points):
+    u, v = np.asarray(points, dtype=float).T
+    nan = np.full(u.size, np.nan)
+    return inference.BootstrapEnsemble(
+        tau=u.copy(), gamma=nan, u=u, v=v, a2=nan, b2=nan, c2=nan, seed=0, k=u.size
+    )
+
+
+@pytest.mark.filterwarnings("ignore:only .* valid replicates")
+@pytest.mark.parametrize("cloud", ["grid", "grid-dense", "random", "three"])
+def test_confidence_region_threshold_matches_counting_rule(cloud):
+    rng = np.random.default_rng(17)
+    points = {
+        # integer grids: few distinct depths, each shared by many points
+        "grid": rng.integers(0, 3, size=(40, 2)),
+        "grid-dense": rng.integers(0, 2, size=(100, 2)),
+        "random": rng.normal(size=(57, 2)),
+        "three": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    }[cloud]
+    ens = ensemble_of(points)
+    # in floats, 0.07 * 100 and 0.14 * 100 land just above an integer,
+    # 0.29 * 100 and 0.57 * 100 just below
+    levels = list(np.linspace(0.01, 0.99, 99)) + [0.07, 0.14, 0.29, 0.57, 0.7, 1 / 3, 2 / 3]
+    for level in levels:
+        cr = confidence_region(ens, level)
+        expected = reference_threshold(ens.cloud_depths, level)
+        assert cr.depth_threshold == expected, level
+        np.testing.assert_array_equal(
+            cr.member_indices, np.flatnonzero(ens.cloud_depths >= expected)
+        )
+
+
+def reference_hull_and_area(points):
+    from scipy.spatial import ConvexHull, QhullError
+
+    uniq = np.unique(points, axis=0)
+    if uniq.shape[0] < 3:
+        return uniq, 0.0
+    try:
+        hull = ConvexHull(points)
+        return points[hull.vertices], float(hull.volume)
+    except QhullError:
+        return uniq, 0.0
+
+
+@pytest.mark.parametrize("points", [
+    [[0.3, 0.1]],
+    [[0.3, 0.1], [-0.2, 0.4]],
+    [[0.3, 0.1], [0.3, 0.1]],
+    [[0.3, 0.1]] * 5,
+    [[0.3, 0.1], [-0.2, 0.4], [0.3, 0.1], [-0.2, 0.4], [-0.2, 0.4]],
+    [[0.0, 0.0], [0.2, 0.1], [0.4, 0.2], [-0.2, -0.1]],
+    [[0.4, 0.2], [0.0, 0.0], [0.2, 0.1], [0.2, 0.1], [0.0, 0.0]],
+    [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.1, 0.1], [0.5, 0.0]],
+], ids=["one", "two", "two-copies", "five-copies", "copies-of-two",
+        "collinear", "collinear-copies", "triangle"])
+def test_hull_and_area_matches_rule_that_checks_distinct_points_first(points):
+    points = np.array(points)
+    hull, area = inference._hull_and_area(points)
+    ref_hull, ref_area = reference_hull_and_area(points)
+    np.testing.assert_array_equal(hull, ref_hull)
+    assert area == ref_area
 
 
 def test_region_summary_extremes(iris_ds):

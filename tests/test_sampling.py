@@ -125,6 +125,18 @@ def test_lemire_rejects_word_zero_with_bound_three():
     assert draws.tolist() == [[6, 2**32 - 2]] and rejected.tolist() == [False]
 
 
+def test_lemire_reads_words_in_any_byte_order_and_layout():
+    words = stream_generator(5, DOMAIN_BOOTSTRAP, 0).bit_generator.random_raw((200, 18))
+    # 2**31 + 1 rejects about half its halves, so many rows are rejected
+    bounds = np.repeat([2, 2**31 + 1, 1999, 7], [9, 1, 20, 5])
+    draws, rejected = lemire_bounded(words, bounds)
+    assert 0 < rejected.sum() < len(words)
+    for variant in (words.astype(">u8"), words.astype("<u8"), np.asfortranarray(words)):
+        other, other_rejected = lemire_bounded(variant, bounds)
+        np.testing.assert_array_equal(other, draws)
+        np.testing.assert_array_equal(other_rejected, rejected)
+
+
 def test_bootstrap_indices_reject_sizes_numpy_draws_differently():
     rng = stream_generator(0, DOMAIN_BOOTSTRAP, 0)
     keys = stream_keys(0, DOMAIN_BOOTSTRAP, 2)

@@ -146,17 +146,22 @@ def standardize(ds: GroupedDataset, mode: str = "feature") -> GroupedDataset:
         return ds
     x = ds.features
     if mode == "feature":
-        sd = x.std(axis=0, ddof=1)
-        if np.any(sd == 0.0) or not np.all(np.isfinite(sd)):
-            bad = [ds.feature_names[i] for i in np.flatnonzero(sd == 0.0)]
-            raise SingularCovarianceError(f"features with zero variance: {bad}")
+        # finite values can still overflow the spread: check it, not them
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = x.std(axis=0, ddof=1)
+        bad = np.flatnonzero(~((0.0 < sd) & (sd < np.inf)))
+        if bad.size:
+            names = [ds.feature_names[i] for i in bad]
+            raise SingularCovarianceError(f"features with zero or non-finite variance: {names}")
         z = (x - x.mean(axis=0)) / sd
     elif mode == "whiten":
         feats = [ds.group_features(g) for g in GROUPS]
-        resid = np.concatenate([f - f.mean(axis=0) for f in feats])
-        cov = resid.T @ resid / (ds.n - 3)
-        eigval, eigvec = np.linalg.eigh(cov)
-        if eigval[0] <= 0.0 or eigval[-1] / eigval[0] >= 1e12:
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.concatenate([f - f.mean(axis=0) for f in feats])
+            cov = resid.T @ resid / (ds.n - 3)
+            eigval, eigvec = np.linalg.eigh(cov)
+        # written so that NaN eigenvalues fail it
+        if not (eigval[0] > 0.0 and eigval[-1] / eigval[0] < 1e12):
             raise SingularCovarianceError(
                 "pooled within-group covariance is singular or ill-conditioned"
             )
@@ -497,8 +502,14 @@ def coverage_simulation(
     mean interval length, the fraction of shape-space regions whose depth
     threshold the true (u, v) attains, and the mean region area.
     """
-    if min(n_per_group, n_sims, k) < 1 or p < 2:
-        raise ValueError("all simulation parameters must be positive (p >= 2)")
+    for name, value, least in (
+        ("p (--p)", p, 2), ("n_per_group (--n)", n_per_group, 2),
+        ("n_sims (--sims)", n_sims, 1), ("k (--boot)", k, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level (--level) must lie in (0, 1), got {level}")
     if seed < 0:
         raise ValueError(f"seed (--seed) must be >= 0, got {seed}")
     if not math.isfinite(phi):

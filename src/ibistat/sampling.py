@@ -56,7 +56,6 @@ def stream_generator(seed: int, *stream_id: int) -> np.random.Generator:
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), part of its
 # stability contract: a 4-word uint32 pool, hashed and mixed with these
 # multipliers.
-_POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
@@ -64,17 +63,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(n: int) -> list:
-    """Little-endian 32-bit words of n, as SeedSequence reads an int."""
-    if n < 0:
-        raise ValueError(f"stream seeds and ids must be non-negative, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
 
 
 def _hasher(hash_const: int, mult: int):
@@ -95,32 +83,38 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
+def _word_count(n: int) -> int:
+    """uint32 words SeedSequence reads from n >= 0 (0 is one word)."""
+    return max(1, -(-n.bit_length() // 32))
+
+
 def stream_keys(seed: int, domain: int, k: int) -> np.ndarray:
     """Philox keys of the streams (seed, domain, j) for j < k, as (k, 2) uint64.
 
     Row j equals ``SeedSequence(entropy=seed, spawn_key=(domain, j))
     .generate_state(2, np.uint64)``, the key ``stream_generator(seed,
-    domain, j)`` gives its Philox.  The hash runs in Python ints, masked
-    to 32 bits, until the j word is mixed in last; that step and the
-    output hash run over all rows at once as uint64 arrays, also masked
-    (a 32-bit product fits, so no step depends on numpy's overflow or
-    integer promotion rules).  j must fit in one word, hence k <= 2**32.
+    domain, j)`` gives its Philox.  Only the last entropy word, j,
+    differs between rows: numpy's own ``SeedSequence(seed,
+    spawn_key=(domain,)).pool`` is the pool before it, and one
+    vectorised pass mixes j in and hashes the output of all rows.
+
+    numpy's hashmix advances its multiplier once per call, 4 calls per
+    entropy word (4 fill the pool, 12 cross-mix it, 4 per later word),
+    and a spawn key pads the seed to 4 words.  Before j it has run 4 * L
+    times, L = max(4, words(seed)) + words(domain), so the hash of j
+    starts at ``_INIT_A * _MULT_A**(4 * L) mod 2**32``.  Every step runs
+    on Python ints or uint64 arrays masked to 32 bits, so none depends on
+    numpy's overflow or promotion rules.  j must fit in one word, hence
+    k <= 2**32.
     """
     if not 0 <= k <= 2**32:
         raise ValueError(f"need 0 <= k <= 2**32 replicate streams, got {k}")
-    run = _uint32_words(int(seed))
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = run + _uint32_words(int(domain)) + [np.arange(k, dtype=np.uint64)]
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    seed, domain = int(seed), int(domain)
+    pool = np.random.SeedSequence(seed, spawn_key=(domain,)).pool.tolist()
+    calls = 4 * (max(4, _word_count(seed)) + _word_count(domain))
+    hashmix = _hasher(_INIT_A * pow(_MULT_A, calls, 2**32) & _MASK32, _MULT_A)
+    j = np.arange(k, dtype=np.uint64)
+    pool = [_mix(value, hashmix(j)) for value in pool]
 
     output = _hasher(_INIT_B, _MULT_B)
     w = [output(value) for value in pool]

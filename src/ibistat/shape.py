@@ -365,8 +365,8 @@ def _centroid_shape_stats(xa: np.ndarray, xb: np.ndarray, xc: np.ndarray) -> dic
     total = a2 + b2 + c2
     scale = 1.0 + np.max(np.abs(np.stack([xa, xb, xc])), axis=(0, 2))
     # coincident-centroid rule matching Configuration.is_degenerate:
-    # centered Frobenius norm (= sqrt(total/3)) below 1e-12 * scale
-    degenerate = np.sqrt(np.maximum(total, 0.0) / 3.0) < 1e-12 * scale
+    # centered Frobenius norm (= sqrt(total/3)) below _COINCIDENT_RTOL * scale
+    degenerate = np.sqrt(np.maximum(total, 0.0) / 3.0) < _COINCIDENT_RTOL * scale
     with np.errstate(invalid="ignore", divide="ignore"):
         safe_total = np.where(degenerate, 1.0, total)
         a2n, b2n, c2n = a2 / safe_total, b2 / safe_total, c2 / safe_total

@@ -15,6 +15,7 @@ from ibistat import (
 from ibistat.cli import main
 from ibistat.datasets import iris_csv_path
 from ibistat.report import dumps_report, load_csv, run_analysis
+from ibistat.sampling import sample_grouped_dataset
 from ibistat.svgplot import glyph_count, is_well_formed_xml
 from conftest import iris_config
 
@@ -57,6 +58,18 @@ def test_load_csv_bad_cell_names_row(tmp_path):
         load_csv(path, cfg)
     assert err.value.line == 4
     assert err.value.column == "x"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,y,g\n1,2,a\n3,4,a\n\n5,6,b\n", "line 4, column '': expected 3 fields, got 0"),
+    ("x,y,g\n1,2,a\n3,nan,a\n5,6,b\n", "line 3, column 'y': non-finite value"),
+])
+def test_load_csv_rejects_blank_line_and_nan_cell(tmp_path, text, message):
+    path = write_csv(tmp_path / "bad.csv", text)
+    cfg = iris_config(input_path=path, group_column="g", group_order={"A": "a", "B": "b", "C": "c"})
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, cfg)
+    assert str(err.value) == message
 
 
 def test_load_csv_unknown_label(tmp_path):
@@ -149,6 +162,17 @@ def test_analyze_byte_identical_reruns(tmp_path):
     a = run_analyze(tmp_path, "a")
     b = run_analyze(tmp_path, "b")
     assert a == b
+
+
+def test_analyze_without_report_writes_it_to_stdout(tmp_path, capsysbinary):
+    report = run_analyze(tmp_path, "file")
+    capsysbinary.readouterr()
+    args = [
+        "analyze", "--input", iris_csv_path(), "--group-col", "species",
+        "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "400", "--seed", "7",
+    ]
+    assert main(args) == 0
+    assert capsysbinary.readouterr().out == report
 
 
 def test_analyze_thread_count_invariance(tmp_path):
@@ -370,6 +394,20 @@ def test_analyze_coincident_landmarks_is_an_error(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_analyze_b_centroid_on_a_leaves_gamma_undefined(tmp_path):
+    # B's centroid (1, 0) is A's: the cosine index is undefined
+    path = write_csv(tmp_path / "ba.csv", "x,y,g\n0,0,a\n2,0,a\n1,1,b\n1,-1,b\n5,5,c\n7,5,c\n")
+    report = tmp_path / "r.json"
+    code = main([
+        "analyze", "--input", path, "--group-col", "g", "--groups", "A=a,B=b,C=c",
+        "--standardize", "none", "--boot", "100", "--perm", "50", "--report", str(report),
+    ])
+    assert code == 0
+    data = json.loads(report.read_text())
+    assert data["observed"]["gamma"] is None
+    assert data["permutation"]["p_gamma"] == 1.0
+
+
 def test_analyze_rejects_bad_groups():
     with pytest.raises(SystemExit):
         main([
@@ -431,18 +469,38 @@ def test_simulate_rejects_non_finite_phi(capsys, phi):
     assert err.startswith("ibistat: error:") and "--phi" in err
 
 
+SIMULATE_ARGS = {"--r": "0.5", "--phi": "1.0", "--p": "2", "--n": "10",
+                 "--sigma2": "1.0", "--sims": "1", "--boot": "50"}
+
+
 @pytest.mark.parametrize("option, value", [
     ("--sigma2", "nan"), ("--sigma2", "inf"), ("--sigma2", "0"),
     ("--r", "nan"), ("--r", "inf"), ("--r", "-0.1"), ("--r", "1.5"),
+    ("--p", "1"), ("--n", "1"), ("--sims", "0"), ("--boot", "0"),
+    ("--level", "1.5"), ("--level", "nan"),
 ])
 def test_simulate_errors_name_their_option(capsys, option, value):
-    args = {"--r": "0.5", "--phi": "1.0", "--p": "2", "--n": "10",
-            "--sigma2": "1.0", "--sims": "1", "--boot": "50"}
-    args[option] = value
+    args = {**SIMULATE_ARGS, option: value}
     code = main(["simulate", *(x for pair in args.items() for x in pair)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("ibistat: error:") and f"({option})" in err
+
+
+def test_simulate_checks_level_before_drawing(capsys, monkeypatch):
+    from ibistat import inference
+
+    drawn = []
+
+    def counting(*args):
+        drawn.append(args)
+        return sample_grouped_dataset(*args)
+
+    monkeypatch.setattr(inference, "sample_grouped_dataset", counting)
+    args = {**SIMULATE_ARGS, "--level": "1.5"}
+    assert main(["simulate", *(x for pair in args.items() for x in pair)]) == 1
+    assert "(--level)" in capsys.readouterr().err
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------

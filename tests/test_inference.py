@@ -122,6 +122,16 @@ def test_standardize_errors():
         standardize(dup, "whiten")
     with pytest.raises(ValueError):
         standardize(ds, "zscore")
+    # finite values whose spread overflows: x's variance is infinite
+    huge = GroupedDataset.from_observations(
+        [("A", [1e308, 1.0]), ("A", [-1e308, 2.0]), ("B", [1.0, 3.0]),
+         ("B", [2.0, 1.0]), ("C", [3.0, 5.0]), ("C", [4.0, 2.0])],
+        feature_names=("x", "y"),
+    )
+    with pytest.raises(SingularCovarianceError, match=r"non-finite variance: \['x'\]"):
+        standardize(huge, "feature")
+    with pytest.raises(SingularCovarianceError, match="ill-conditioned"):
+        standardize(huge, "whiten")
 
 
 # ---------------------------------------------------------------------------

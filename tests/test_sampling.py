@@ -48,10 +48,14 @@ def test_stream_first_draws_are_pinned(domain):
     assert [int(x) for x in raw] == STREAM_GOLDENS[domain]
 
 
-# one-word seeds, two-word seeds (coverage_simulation's bootstrap seeds
-# are uint64) and a seed longer than the 4-word pool
-@pytest.mark.parametrize("seed", [0, 2021, 2**40 + 3, 2**64 - 1, 2**130 + 7])
-@pytest.mark.parametrize("domain", sorted(STREAM_GOLDENS))
+# seeds of one to seven words at each word boundary (coverage_simulation's
+# bootstrap seeds are uint64; more than four words overflow the padding)
+# and domains of one and two words
+@pytest.mark.parametrize("seed", [
+    0, 2021, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1,
+    2**128 - 1, 2**128, 2**130 + 7, 2**200,
+])
+@pytest.mark.parametrize("domain", sorted(STREAM_GOLDENS) + [2**32, 2**40])
 def test_stream_keys_match_seed_sequence(seed, domain):
     k = 37
     keys = stream_keys(seed, domain, k)

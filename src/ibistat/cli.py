@@ -105,7 +105,7 @@ def _cmd_analyze(args) -> int:
         perm_k=args.perm,
     )
     ds = load_csv(config.input_path, config)
-    report, _, regions = run_analysis(config, ds)
+    report, regions = run_analysis(config, ds)
     text = dumps_report(report)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -113,11 +113,7 @@ def _cmd_analyze(args) -> int:
     else:
         sys.stdout.write(text)
     if args.plot:
-        points = {
-            key: [(float(u), float(v)) for u, v in cr.member_points]
-            for key, cr in regions.items()
-        }
-        svg = svg_from_report(report, ensemble_points=points)
+        svg = svg_from_report(report, regions)
         with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write(svg)
     return 0

@@ -140,12 +140,15 @@ def standardize(ds: GroupedDataset, mode: str = "feature") -> GroupedDataset:
 
     Whitening uses the symmetric inverse square root of the pooled
     within-group covariance and fails on rank-deficient or severely
-    ill-conditioned data (condition number >= 1e12).
+    ill-conditioned data (condition number >= 1e12). In every mode a
+    feature whose largest |value| exceeds sqrt(max float / (12 p)) is
+    rejected: below that bound every resampled group sum, squared side
+    and side total stays finite.
     """
-    if mode == "none":
-        return ds
     x = ds.features
-    if mode == "feature":
+    if mode == "none":
+        z = x
+    elif mode == "feature":
         # finite values can still overflow the spread: check it, not them
         with np.errstate(over="ignore", invalid="ignore"):
             sd = x.std(axis=0, ddof=1)
@@ -169,6 +172,16 @@ def standardize(ds: GroupedDataset, mode: str = "feature") -> GroupedDataset:
         z = (x - x.mean(axis=0)) @ w
     else:
         raise ValueError(f"unknown standardization mode {mode!r}")
+    limit = math.sqrt(np.finfo(float).max / (12 * z.shape[1]))
+    bad = np.flatnonzero(np.abs(z).max(axis=0) > limit)
+    if bad.size:
+        names = [ds.feature_names[i] for i in bad]
+        raise ValueError(
+            f"features with a value above {limit:.3g} in magnitude, "
+            f"where triangle sides overflow: {names}"
+        )
+    if mode == "none":
+        return ds
     return GroupedDataset(features=z, labels=ds.labels, feature_names=ds.feature_names)
 
 
@@ -504,7 +517,7 @@ def coverage_simulation(
     """
     for name, value, least in (
         ("p (--p)", p, 2), ("n_per_group (--n)", n_per_group, 2),
-        ("n_sims (--sims)", n_sims, 1), ("k (--boot)", k, 1),
+        ("n_sims (--sims)", n_sims, 1), ("k (--boot)", k, 3),
     ):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")

@@ -65,8 +65,8 @@ class AnalysisConfig:
             raise ValueError("group_order must map exactly A, B and C")
         if len(set(self.group_order.values())) != 3:
             raise ValueError("group_order must map to three distinct labels")
-        if self.boot_k < 1:
-            raise ValueError(f"boot_k (--boot) must be >= 1, got {self.boot_k}")
+        if self.boot_k < 3:
+            raise ValueError(f"boot_k (--boot) must be >= 3, got {self.boot_k}")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
             raise ValueError("levels must lie in (0, 1)")
         keys = [_level_key(lv) for lv in self.levels]
@@ -192,7 +192,7 @@ def _region_point_block(rp) -> dict:
 
 
 def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
-    """Run the full analysis; returns (report, ensemble, {level-key: region})."""
+    """Run the full analysis; returns (report, {level-key: ConfidenceRegion})."""
     work = standardize(ds, config.standardize_mode)
     observed = _shape_block(centroid_configuration(work))
 
@@ -254,7 +254,7 @@ def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
             "gamma_undefined_replicates": ens.n_gamma_undefined,
         },
     }
-    return report, ens, region_objects
+    return report, region_objects
 
 
 def _dump(obj, out: list) -> None:

@@ -1,10 +1,11 @@
 """Deterministic SVG rendering of shape space.
 
-Draws the unit disk (with the dashed radius-1/2 circle), confidence
-region clouds per level, markers for the observed / median / extreme
-shapes, small triangle glyphs for those four shapes, and a legend.
-Output is plain SVG 1.1 text with fixed number formatting, so a given
-report always renders to identical bytes.
+``svg_from_report`` draws an analysis straight from ``run_analysis``'s
+report and its confidence regions: the unit disk (with the dashed
+radius-1/2 circle), each level's region members, markers for the
+observed / median / extreme-tau shapes, small triangle glyphs for those
+four shapes, and a legend. Output is plain SVG 1.1 text with fixed
+number formatting, so a given report always renders to identical bytes.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ _W, _H = 720, 520
 _CX, _CY, _R = 260.0, 260.0, 220.0
 
 _LEVEL_COLORS = ["#9ecae1", "#3182bd", "#08519c", "#041f4a"]
-_MARKERS = [
-    ("observed", "#d62728"),
-    ("median", "#2ca02c"),
-    ("max_tau", "#9467bd"),
-    ("min_tau", "#ff7f0e"),
-]
+_MARKER_COLORS = {
+    "observed": "#d62728",
+    "median": "#2ca02c",
+    "max_tau": "#9467bd",
+    "min_tau": "#ff7f0e",
+}
 
 
 # characters XML 1.0 allows in no form: C0 controls other than tab,
@@ -50,33 +51,29 @@ def _triangle_glyph(sides: SideLengths, cx: float, cy: float, half: float) -> st
     lm = configuration_from_sides(sides).landmarks
     lm = lm - lm.mean(axis=0)
     span = max(abs(lm).max(), 1e-9)
-    pts = []
-    for x, y in lm:
-        pts.append(f"{_fmt(cx + half * x / span)},{_fmt(cy - half * y / span)}")
+    pts = [(_fmt(cx + half * x / span), _fmt(cy - half * y / span)) for x, y in lm]
+    polygon = " ".join(f"{x},{y}" for x, y in pts)
     vertex_dots = "".join(
-        f'<circle cx="{p.split(",")[0]}" cy="{p.split(",")[1]}" r="2.2" fill="{col}"/>'
-        for p, col in zip(pts, ("#d62728", "#2ca02c", "#1f77b4"))
+        f'<circle cx="{x}" cy="{y}" r="2.2" fill="{col}"/>'
+        for (x, y), col in zip(pts, ("#d62728", "#2ca02c", "#1f77b4"))
     )
     return (
-        f'<polygon points="{" ".join(pts)}" fill="none" stroke="#333333" '
+        f'<polygon points="{polygon}" fill="none" stroke="#333333" '
         f'stroke-width="1.2"/>{vertex_dots}'
     )
 
 
-def render_shape_space_svg(
-    observed: dict,
-    regions: dict | None = None,
-    title: str = "shape space",
-) -> str:
-    """Render a report-shaped payload to an SVG document string.
+def svg_from_report(report: dict, regions: dict) -> str:
+    """Render a report and its confidence regions to an SVG document string.
 
-    ``observed`` needs keys u, v, a2, b2, c2; ``regions`` maps a level
-    key to a dict with ``points`` (sequence of (u, v)) and the summary
-    blocks ``median`` / ``max_tau`` / ``min_tau`` (u, v, a2, b2, c2).
-    Regions may be empty or None, in which case only the disk and the
-    observed marker are drawn.
+    ``report`` and ``regions`` are what ``run_analysis`` returns: each
+    level block of ``report["regions"]`` gives the level and the marker
+    summaries, and ``regions[key].member_points`` the (u, v) points drawn
+    for that level. A report without levels draws the disk and the
+    observed marker only.
     """
-    regions = regions or {}
+    blocks = report["regions"]
+    title = "shape space: " + ", ".join(report["config"]["feature_columns"])
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -96,32 +93,26 @@ def render_shape_space_svg(
     ]
 
     # widest region first so narrower levels draw on top
-    level_keys = sorted(regions, key=lambda k: -float(regions[k].get("level", k)))
+    level_keys = sorted(blocks, key=lambda k: -blocks[k]["level"])
     for i, key in enumerate(level_keys):
         color = _LEVEL_COLORS[min(i, len(_LEVEL_COLORS) - 1)]
-        pts = regions[key].get("points", [])
         dots = []
-        for u, v in pts:
-            x, y = _to_canvas(float(u), float(v))
+        for u, v in regions[key].member_points.tolist():
+            x, y = _to_canvas(u, v)
             dots.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.4" '
                         f'fill="{color}" fill-opacity="0.55"/>')
         parts.append(f'<g id="region-{key}">{"".join(dots)}</g>')
 
     # markers: observed plus the summaries of the narrowest region
-    marks = {"observed": observed}
+    marks = [("observed", report["observed"])]
     if level_keys:
-        inner = regions[level_keys[-1]]
-        for name in ("median", "max_tau", "min_tau"):
-            if inner.get(name):
-                marks[name] = inner[name]
+        inner = blocks[level_keys[-1]]
+        marks += [(name, inner[name]) for name in ("median", "max_tau", "min_tau")]
 
     glyph_x, glyph_y, glyph_step = _W - 150.0, 92.0, 108.0
-    legend = []
-    for i, (name, color) in enumerate(_MARKERS):
-        blk = marks.get(name)
-        if blk is None:
-            continue
-        x, y = _to_canvas(float(blk["u"]), float(blk["v"]))
+    for i, (name, blk) in enumerate(marks):
+        color = _MARKER_COLORS[name]
+        x, y = _to_canvas(blk["u"], blk["v"])
         parts.append(
             f'<g id="marker-{name}">'
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4.5" fill="none" '
@@ -131,8 +122,8 @@ def render_shape_space_svg(
             f'<line x1="{_fmt(x)}" y1="{_fmt(y - 6)}" x2="{_fmt(x)}" y2="{_fmt(y + 6)}" '
             f'stroke="{color}" stroke-width="1"/></g>'
         )
-        gy = glyph_y + len(legend) * glyph_step
-        sides = SideLengths(float(blk["a2"]), float(blk["b2"]), float(blk["c2"]))
+        gy = glyph_y + i * glyph_step
+        sides = SideLengths(blk["a2"], blk["b2"], blk["c2"])
         parts.append(
             f'<g id="glyph-{name}">'
             f'<rect x="{_fmt(glyph_x - 46)}" y="{_fmt(gy - 46)}" width="92" height="92" '
@@ -141,7 +132,6 @@ def render_shape_space_svg(
             + f'<text x="{_fmt(glyph_x)}" y="{_fmt(gy + 60)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" fill="{color}">{name}</text></g>'
         )
-        legend.append(name)
 
     # legend for the region levels
     ly = _H - 40.0
@@ -156,21 +146,6 @@ def render_shape_space_svg(
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def svg_from_report(report: dict, ensemble_points: dict | None = None) -> str:
-    """Adapt a report dictionary (plus optional per-level point arrays)."""
-    regions = {}
-    for key, blk in report.get("regions", {}).items():
-        regions[key] = {
-            "level": blk["level"],
-            "points": (ensemble_points or {}).get(key, []),
-            "median": blk["median"],
-            "max_tau": blk["max_tau"],
-            "min_tau": blk["min_tau"],
-        }
-    title = "shape space: " + ", ".join(report["config"]["feature_columns"])
-    return render_shape_space_svg(report["observed"], regions, title=title)
 
 
 def glyph_count(svg: str) -> int:

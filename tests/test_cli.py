@@ -1,6 +1,9 @@
 import codecs
+import hashlib
 import json
 import math
+import shutil
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from ibistat.cli import main
 from ibistat.datasets import iris_csv_path
 from ibistat.report import dumps_report, load_csv, run_analysis
 from ibistat.sampling import sample_grouped_dataset
-from ibistat.svgplot import glyph_count, is_well_formed_xml
+from ibistat.svgplot import glyph_count, is_well_formed_xml, svg_from_report
 from conftest import iris_config
 
 
@@ -152,7 +155,7 @@ def test_report_config_echoes_every_config_field(iris_ds):
 
     from ibistat.report import AnalysisConfig
 
-    report, _, _ = run_analysis(iris_config(), iris_ds)
+    report, _ = run_analysis(iris_config(), iris_ds)
     names = {f.name for f in dataclasses.fields(AnalysisConfig)}
     echoed = {"standardize_mode" if k == "standardize" else k for k in report["config"]}
     assert names == echoed
@@ -272,21 +275,21 @@ def test_report_strings_escape_like_json():
 
 
 def test_svg_escapes_markup_in_feature_names():
-    from ibistat.svgplot import render_shape_space_svg
-
-    observed = {"u": 0.3, "v": 0.4, "a2": 0.3, "b2": 0.4, "c2": 0.3}
-    svg = render_shape_space_svg(observed, title="shape space: a<b, c&d")
+    report = {
+        "config": {"feature_columns": ["a<b", "c&d"]},
+        "observed": {"u": 0.3, "v": 0.4, "a2": 0.3, "b2": 0.4, "c2": 0.3},
+        "regions": {},
+    }
+    svg = svg_from_report(report, {})
     assert is_well_formed_xml(svg)
     title = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")
     assert title.text == "shape space: a<b, c&d"
 
 
-def test_svg_without_regions_draws_disk_and_observed():
-    from ibistat.svgplot import render_shape_space_svg
-
-    svg = render_shape_space_svg(
-        {"u": 0.3, "v": 0.4, "a2": 0.3, "b2": 0.4, "c2": 0.3}, regions=None
-    )
+def test_svg_without_regions_draws_disk_and_observed(iris_ds):
+    report, regions = run_analysis(iris_config(boot_k=50, levels=()), iris_ds)
+    assert report["regions"] == {} and regions == {}
+    svg = svg_from_report(report, regions)
     assert is_well_formed_xml(svg)
     assert 'id="marker-observed"' in svg
     assert glyph_count(svg) == 1  # only the observed triangle glyph
@@ -355,14 +358,15 @@ def test_analyze_rejects_negative_counts(tmp_path, capsys, option, field):
     assert not report.exists()
 
 
-def test_analyze_rejects_zero_boot(tmp_path, capsys):
+@pytest.mark.parametrize("boot", ["0", "1", "2"])
+def test_analyze_rejects_zero_boot(tmp_path, capsys, boot):
     code = main([
         "analyze", "--input", iris_csv_path(), "--group-col", "species",
-        "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "0",
+        "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", boot,
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("ibistat: error:") and "--boot" in err
+    assert err.startswith("ibistat: error:") and "(--boot) must be >= 3" in err
 
 
 def test_analyze_groups_of_size_two(tmp_path):
@@ -406,6 +410,71 @@ def test_analyze_b_centroid_on_a_leaves_gamma_undefined(tmp_path):
     data = json.loads(report.read_text())
     assert data["observed"]["gamma"] is None
     assert data["permutation"]["p_gamma"] == 1.0
+
+
+@pytest.mark.parametrize("rows", [
+    # the group sum overflows
+    "1e308,1,a\n1.0000001e308,2,a\n1,3,b\n2,1,b\n3,5,c\n4,2,c\n",
+    # resampled squared sides overflow: most replicates would be NaN
+    "1e308,1,a\n-1e308,2,a\n0,4,a\n1,3,b\n2,1,b\n3,4,b\n3,5,c\n4,2,c\n5,1,c\n",
+])
+def test_analyze_unstandardized_overflow_names_the_feature(tmp_path, capsys, rows):
+    path = write_csv(tmp_path / "big.csv", "x,y,g\n" + rows)
+    report = tmp_path / "r.json"
+    code = main([
+        "analyze", "--input", path, "--group-col", "g", "--groups", "A=a,B=b,C=c",
+        "--standardize", "none", "--boot", "200", "--report", str(report),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ibistat: error:") and "['x']" in err and "'y'" not in err
+    assert not report.exists()
+
+
+def test_analyze_unstandardized_below_overflow_bound_runs_clean(tmp_path):
+    # p = 2 bounds |value| by sqrt(max float / 24) = 2.74e153
+    m = "2.6e153"
+    path = write_csv(
+        tmp_path / "big.csv",
+        f"x,y,g\n{m},1,a\n{m},2,a\n{m},4,a\n1,3,b\n2,1,b\n3,4,b\n"
+        f"-{m},5,c\n-{m},2,c\n-{m},1,c\n",
+    )
+    report = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "analyze", "--input", path, "--group-col", "g", "--groups", "A=a,B=b,C=c",
+            "--standardize", "none", "--boot", "200", "--report", str(report),
+        ])
+    assert code == 0
+    data = json.loads(report.read_text())
+    assert data["diagnostics"]["degenerate_replicates"] == 0
+
+
+# sha256 of the report and SVG of two iris runs; the input path is echoed
+# in the report, so it is given relative to the working directory
+PINNED_RUNS = [
+    (["--boot", "300", "--perm", "100", "--levels", "0.5,0.8,0.9,0.95,0.99", "--seed", "4"],
+     "c7f69255b1f2fd3a1de66201767c433cbcbc6e051b7275a89398d75093e4c426",
+     "f4353089919e8a800b5e3047f4cb571e197c8428c838c0c326d7a19c6164befc"),
+    (["--features", "petal_length", "--boot", "300", "--seed", "4"],
+     "f3efce396ca1b614b51ca3ad46c31123c886039943ecc58580865aea1341e239",
+     "850fcb417adbb84e7e705d3b32ff8b214de14c1ee404ae48863abc0edef4bbb4"),
+]
+
+
+@pytest.mark.parametrize("extra, report_sha, svg_sha", PINNED_RUNS)
+def test_analyze_report_and_svg_bytes_are_pinned(tmp_path, monkeypatch, extra,
+                                                 report_sha, svg_sha):
+    shutil.copy(iris_csv_path(), tmp_path / "iris.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "analyze", "--input", "iris.csv", "--group-col", "species",
+        "--groups", "A=setosa,B=versicolor,C=virginica", *extra,
+        "--report", "r.json", "--plot", "s.svg",
+    ]) == 0
+    assert hashlib.sha256(Path("r.json").read_bytes()).hexdigest() == report_sha
+    assert hashlib.sha256(Path("s.svg").read_bytes()).hexdigest() == svg_sha
 
 
 def test_analyze_rejects_bad_groups():
@@ -477,14 +546,20 @@ SIMULATE_ARGS = {"--r": "0.5", "--phi": "1.0", "--p": "2", "--n": "10",
     ("--sigma2", "nan"), ("--sigma2", "inf"), ("--sigma2", "0"),
     ("--r", "nan"), ("--r", "inf"), ("--r", "-0.1"), ("--r", "1.5"),
     ("--p", "1"), ("--n", "1"), ("--sims", "0"), ("--boot", "0"),
-    ("--level", "1.5"), ("--level", "nan"),
+    ("--boot", "1"), ("--boot", "2"), ("--level", "1.5"), ("--level", "nan"),
 ])
-def test_simulate_errors_name_their_option(capsys, option, value):
+def test_simulate_errors_name_their_option(capsys, monkeypatch, option, value):
+    from ibistat import inference
+
+    drawn = []
+    monkeypatch.setattr(inference, "sample_grouped_dataset",
+                        lambda *args: drawn.append(args))
     args = {**SIMULATE_ARGS, option: value}
     code = main(["simulate", *(x for pair in args.items() for x in pair)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("ibistat: error:") and f"({option})" in err
+    assert drawn == []
 
 
 def test_simulate_checks_level_before_drawing(capsys, monkeypatch):
@@ -532,7 +607,7 @@ def test_report_rejects_nan():
 
 def test_run_analysis_regions_match_report(iris_ds):
     cfg = iris_config(boot_k=300, seed=2)
-    report, ens, regions = run_analysis(cfg, iris_ds)
+    report, regions = run_analysis(cfg, iris_ds)
     for key, blk in report["regions"].items():
         assert blk["member_count"] == regions[key].member_points.shape[0]
         assert blk["area"] == regions[key].area

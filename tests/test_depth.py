@@ -104,7 +104,7 @@ def test_regions_at_all_levels_share_one_depth_pass(iris_ds, monkeypatch):
         return tukey_depths(points, cloud)
 
     monkeypatch.setattr(ibistat.inference, "tukey_depths", counting)
-    report = run_analysis(iris_config(boot_k=200, levels=(0.8, 0.95)), iris_ds)[0]
+    report, _ = run_analysis(iris_config(boot_k=200, levels=(0.8, 0.95)), iris_ds)
     assert len(report["regions"]) == 2
     assert calls == [200]
 

@@ -36,13 +36,32 @@ count along a sorted row gives c1 and c0 at the last key of each run of
 equal phi.  Rows are processed in chunks of about ``_CHUNK_PAIRS``
 query x cloud pairs, which bounds the working memory for any ensemble
 size.
+
+Bounds.  A confidence region needs the exact depths of few points (see
+``inference._RegionDepths``); two cheap tests settle the rest, both
+conservative with respect to the depths this kernel computes:
+
+- ``depth_upper_bounds``: a point's depth is at most its count in any
+  closed halfplane through it, here along 16 fixed directions.  Cloud
+  points whose projection lies within ``BOUND_MARGIN * s`` of the query's
+  (s the largest |coordinate|) count on both sides.
+- ``inside_by_margin``: depth regions are convex, so a point inside the
+  hull of points of depth >= t has depth >= t.  A point counts as inside
+  only when it is more than ``HULL_MARGIN * s`` left of every edge.
+
+The kernel's rounding moves a cloud point by far less than
+``BOUND_MARGIN * s`` across any halfplane boundary, so rounding can only
+raise the upper bound and never marks a point inside wrongly.  A point
+neither test decides, such as any point of a cloud with no interior (all
+shapes on the unit circle when p = 1) or a hull qhull cannot build, gets
+its exact depth from the kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["tukey_depth", "tukey_depths"]
+__all__ = ["tukey_depth", "tukey_depths", "depth_upper_bounds", "inside_by_margin"]
 
 # query x cloud pairs per chunk.  Each of the chunk's temporaries then
 # holds 2**14 values (128 KiB); on a Xeon with 2 MiB of L2 per core this
@@ -113,3 +132,80 @@ def tukey_depth(point, cloud) -> float:
     if point.shape != (2,):
         raise ValueError(f"point must have shape (2,), got {point.shape}")
     return float(tukey_depths(point[None], cloud)[0])
+
+
+# Directions of the upper bound: 16 over the half circle, each used both ways.
+_ANGLES = np.arange(16) * (np.pi / 16)
+_DIRECTIONS = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
+
+# Margins, relative to the largest |coordinate| s of the cloud and the
+# queries.  Rounding in the kernel's angles and in the projections below
+# moves a point by at most about 40 * 2**-53 * s across a halfplane's
+# boundary, far below BOUND_MARGIN; HULL_MARGIN exceeds 3 * BOUND_MARGIN
+# plus the rounding of the orientation test, as ``inside_by_margin`` needs.
+BOUND_MARGIN = 1e-11
+HULL_MARGIN = 1e-9
+
+
+def _scale(*arrays) -> float:
+    """Largest |coordinate| over the arrays, 0 for none."""
+    return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+
+
+def depth_upper_bounds(points, cloud) -> np.ndarray:
+    """Upper bound, in [0, 1], on the depth ``tukey_depths`` gives each row
+    of ``points`` (m x 2) against ``cloud`` (n x 2).
+
+    Along each of 16 directions d the bound counts the cloud points of
+    either closed halfplane {c : (c - q) . d >= 0} and {c : (c - q) . d <= 0}
+    and keeps the least count (the random Tukey depth of Cuesta-Albertos &
+    Nieto-Reyes 2008, over fixed directions).  A point whose projection
+    lies within ``BOUND_MARGIN * s`` of the query's counts on both sides,
+    so rounding in the projections or in the kernel's angles can only
+    raise the bound.
+    """
+    points = np.asarray(points, dtype=float)
+    cloud = np.asarray(cloud, dtype=float)
+    n = cloud.shape[0]
+    margin = BOUND_MARGIN * _scale(points, cloud)
+    best = np.full(points.shape[0], n)
+    for dx, dy in _DIRECTIONS:
+        col = np.sort(cloud[:, 0] * dx + cloud[:, 1] * dy)
+        q = points[:, 0] * dx + points[:, 1] * dy
+        # sorted keys make searchsorted two to three times faster
+        order = np.argsort(q)
+        q = q[order]
+        count = np.minimum(n - np.searchsorted(col, q - margin, "left"),
+                           np.searchsorted(col, q + margin, "right"))
+        best[order] = np.minimum(best[order], count)
+    return best / n
+
+
+def inside_by_margin(points, polygon, cloud) -> np.ndarray:
+    """True where a row of ``points`` lies left of every directed edge of
+    the closed ``polygon`` (h x 2) by more than ``HULL_MARGIN * s``.
+
+    Such a point lies inside the convex hull of the polygon's vertices
+    whatever their order (its winding number is positive), and so do its
+    neighbours within the margin.  Depth regions are convex (Rousseeuw &
+    Ruts 1999), so if every vertex has depth >= t against ``cloud``, as
+    ``tukey_depths`` computes it, so has every point marked True: the
+    margin absorbs the rounding of both.  Vertices, points on an edge and
+    points outside are never marked.
+    """
+    points = np.asarray(points, dtype=float)
+    polygon = np.asarray(polygon, dtype=float)
+    if polygon.shape[0] < 3:
+        return np.zeros(points.shape[0], dtype=bool)
+    edge = np.roll(polygon, -1, axis=0) - polygon
+    # |ex| + |ey| >= |edge| turns the margin into a distance
+    need = HULL_MARGIN * _scale(points, polygon, cloud) * np.abs(edge).sum(axis=1)
+    px, py = points[:, :1], points[:, 1:]
+    inside = np.ones(points.shape[0], dtype=bool)
+    # blocks of edges of about _CHUNK_PAIRS point x edge pairs
+    step = max(1, _CHUNK_PAIRS // max(1, points.shape[0]))
+    for lo in range(0, polygon.shape[0], step):
+        (ax, ay), (ex, ey) = polygon[lo:lo + step].T, edge[lo:lo + step].T
+        cross = ex * (py - ay) - ey * (px - ax)
+        inside &= (cross > need[lo:lo + step]).all(axis=1)
+    return inside

@@ -1,5 +1,7 @@
 """Independent reference implementations used only to check the library."""
 
+import math
+
 import numpy as np
 
 
@@ -41,3 +43,22 @@ def quantile_type7(values, q) -> float:
     lo = int(np.floor(h))
     hi = min(lo + 1, len(xs) - 1)
     return float(xs[lo] + (h - lo) * (xs[hi] - xs[lo]))
+
+
+def assert_region_matches_full_kernel(ens, level) -> None:
+    """The region of ``ens`` at ``level`` is the one the depths of every
+    valid point (``ens.cloud_depths``) give: same threshold bits, members,
+    hull, area and deepest replicate (the first on ties)."""
+    from ibistat.inference import _hull_and_area, confidence_region, region_summary
+
+    cr = confidence_region(ens, level)
+    valid = np.flatnonzero(ens.valid_mask())
+    depths = ens.cloud_depths
+    threshold = float(np.sort(depths)[valid.size - math.ceil(level * valid.size)])
+    member = depths >= threshold
+    hull, area = _hull_and_area(ens.valid_cloud()[member])
+    assert cr.depth_threshold.hex() == threshold.hex(), (level, cr.depth_threshold, threshold)
+    np.testing.assert_array_equal(cr.member_indices, valid[member])
+    np.testing.assert_array_equal(cr.hull, hull)
+    assert cr.area == area
+    assert region_summary(cr).median.replicate == valid[np.argmax(depths)]

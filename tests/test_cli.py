@@ -460,6 +460,11 @@ PINNED_RUNS = [
     (["--features", "petal_length", "--boot", "300", "--seed", "4"],
      "f3efce396ca1b614b51ca3ad46c31123c886039943ecc58580865aea1341e239",
      "850fcb417adbb84e7e705d3b32ff8b214de14c1ee404ae48863abc0edef4bbb4"),
+    # the README's command, where the regions' exact depths are fewest
+    (["--standardize", "feature", "--boot", "10000", "--perm", "5000",
+      "--levels", "0.8,0.95", "--seed", "1"],
+     "5765e50dee6c01061ac8d602ad0b059fb32f2d6b8343c756a3b1f85b7d9e729a",
+     "9dc91677d7c961aceb275a4643eebd296e85f28153ff91ebb88d3242f8997274"),
 ]
 
 
@@ -543,7 +548,7 @@ SIMULATE_ARGS = {"--r": "0.5", "--phi": "1.0", "--p": "2", "--n": "10",
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--sigma2", "nan"), ("--sigma2", "inf"), ("--sigma2", "0"),
+    ("--sigma2", "nan"), ("--sigma2", "inf"), ("--sigma2", "0"), ("--sigma2", "1e308"),
     ("--r", "nan"), ("--r", "inf"), ("--r", "-0.1"), ("--r", "1.5"),
     ("--p", "1"), ("--n", "1"), ("--sims", "0"), ("--boot", "0"),
     ("--boot", "1"), ("--boot", "2"), ("--level", "1.5"), ("--level", "nan"),
@@ -560,6 +565,16 @@ def test_simulate_errors_name_their_option(capsys, monkeypatch, option, value):
     err = capsys.readouterr().err
     assert err.startswith("ibistat: error:") and f"({option})" in err
     assert drawn == []
+
+
+def test_simulate_sigma2_below_overflow_bound_runs_clean(capsys):
+    # p = 2 bounds sigma2 at max float / 24 = 7.49e306
+    args = {**SIMULATE_ARGS, "--sigma2": "1e306", "--sims": "2", "--boot": "100"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", *(x for pair in args.items() for x in pair)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["sigma2"] == 1e306 and err == ""
 
 
 def test_simulate_checks_level_before_drawing(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 import ibistat.inference
 from ibistat import tukey_depth, tukey_depths
-from ibistat.depth import _CHUNK_PAIRS
+from ibistat.depth import _CHUNK_PAIRS, depth_upper_bounds, inside_by_margin
 from ibistat.report import run_analysis
 from _oracles import halfspace_depth_enumeration
 from conftest import iris_config
@@ -96,17 +96,19 @@ def test_single_point_depth_is_one_row_of_depths():
         assert tukey_depth(q, cloud) == tukey_depths([q], cloud)[0]
 
 
-def test_regions_at_all_levels_share_one_depth_pass(iris_ds, monkeypatch):
-    calls = []
+def test_regions_at_all_levels_share_exact_depths(iris_ds, monkeypatch):
+    queries = []
 
     def counting(points, cloud):
-        calls.append(len(points))
+        assert len(cloud) == 200
+        queries.extend(map(tuple, points))
         return tukey_depths(points, cloud)
 
     monkeypatch.setattr(ibistat.inference, "tukey_depths", counting)
     report, _ = run_analysis(iris_config(boot_k=200, levels=(0.8, 0.95)), iris_ds)
     assert len(report["regions"]) == 2
-    assert calls == [200]
+    # no point's depth is computed twice, and most are never computed
+    assert len(set(queries)) == len(queries) < 200
 
 
 def test_invalid_cloud():
@@ -116,3 +118,63 @@ def test_invalid_cloud():
         tukey_depth([0.0, 0.0], np.zeros((3, 3)))
     with pytest.raises(ValueError):
         tukey_depths(np.zeros(2), np.zeros((3, 2)))
+
+
+def _bound_clouds(rng):
+    """Random, integer-grid, duplicate-heavy and collinear clouds."""
+    for _ in range(25):
+        n = int(rng.integers(1, 40))
+        base = rng.integers(-3, 4, size=(n, 2)).astype(float)
+        steps = rng.integers(-4, 5, size=n).astype(float)
+        yield rng.normal(size=(n, 2))
+        yield base
+        yield base[rng.integers(0, n, size=n)]
+        yield np.outer(steps, [1.0, 2.0]) + [0.5, -1.0]
+        yield np.outer(rng.normal(size=n), [0.6, 0.8])
+
+
+def test_upper_bounds_are_at_least_the_depth():
+    rng = np.random.default_rng(7)
+    for cloud in _bound_clouds(rng):
+        queries = np.concatenate([cloud, rng.integers(-4, 5, size=(5, 2)) + 0.5])
+        bounds = depth_upper_bounds(queries, cloud)
+        exact = [halfspace_depth_enumeration(q, cloud) for q in queries]
+        assert np.all(bounds >= exact)
+        assert np.all(bounds >= tukey_depths(queries, cloud))
+
+
+def test_upper_bounds_are_tight_along_the_axes():
+    cloud = np.array([[x, y] for x in range(-2, 3) for y in range(-2, 3)], dtype=float)
+    # on the grid the bound is the depth: the axes realise every minimum
+    np.testing.assert_array_equal(depth_upper_bounds(cloud, cloud), tukey_depths(cloud, cloud))
+
+
+def test_inside_by_margin_marks_no_vertex_edge_or_outside_point():
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        cloud = rng.normal(size=(30, 2))
+        hull = cloud[ConvexHull(cloud).vertices]
+        centre = hull.mean(axis=0)
+        on_edges = hull + rng.uniform(size=(len(hull), 1)) * (np.roll(hull, -1, axis=0) - hull)
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=20)
+        radius = 1.5 * np.linalg.norm(cloud - centre, axis=1).max()
+        far = centre + radius * np.column_stack([np.cos(angle), np.sin(angle)])
+        outward = centre + (1.0 + 1e-12) * (hull - centre)
+        for points in (hull, on_edges, far, outward):
+            assert not inside_by_margin(points, hull, cloud).any()
+        inner = centre + 0.5 * (hull - centre)
+        assert inside_by_margin(inner, hull, cloud).all()
+        # a clockwise polygon has no point left of all its edges
+        assert not inside_by_margin(inner, hull[::-1], cloud).any()
+
+
+def test_inside_by_margin_on_grid_edges_and_degenerate_polygons():
+    square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+    points = np.array([[1.0, 0.0], [2.0, 1.0], [1.0, 2.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1e-12]])
+    np.testing.assert_array_equal(
+        inside_by_margin(points, square, square), [False, False, False, False, True, False]
+    )
+    for polygon in (square[:0], square[:1], square[:2], np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])):
+        assert not inside_by_margin(points, polygon, square).any()

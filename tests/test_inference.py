@@ -23,7 +23,8 @@ from ibistat import (
 )
 from ibistat.sampling import DOMAIN_BOOTSTRAP, DOMAIN_PERMUTATION
 from ibistat.shape import _centroid_shape_stats
-from _oracles import quantile_type7
+from _oracles import assert_region_matches_full_kernel, quantile_type7
+from conftest import iris_config
 
 
 def make_dataset(rng, n=30, p=2, spread=1.0, offsets=None):
@@ -549,6 +550,73 @@ def test_confidence_region_threshold_matches_counting_rule(cloud):
         )
 
 
+REGION_LEVELS = (0.5, 0.8, 0.95, 0.99)
+
+
+@pytest.mark.parametrize("features, seed", [
+    ((), 0), ((), 1), ((), 9),
+    (("sepal_length", "sepal_width"), 2),
+    # p = 1: every shape lies on the unit circle, so no point is interior
+    (("petal_length",), 3),
+])
+def test_region_matches_full_kernel_on_iris(features, seed):
+    from ibistat.datasets import iris_csv_path
+    from ibistat.report import load_csv
+
+    ds = standardize(load_csv(iris_csv_path(), iris_config(features=features)), "feature")
+    ens = stratified_bootstrap(ds, k=1000, seed=seed)
+    for level in REGION_LEVELS:
+        assert_region_matches_full_kernel(ens, level)
+
+
+@pytest.mark.filterwarnings("ignore:only .* valid replicates")
+def test_region_matches_full_kernel_on_tiny_groups_and_few_replicates(iris_ds):
+    # groups of 2 or 3 rows give many duplicate replicates
+    for rows, seed in ((2, 0), (3, 1), (2, 2), (3, 3)):
+        idx = np.concatenate([iris_ds.group_indices(g)[:rows] for g in "ABC"])
+        ds = GroupedDataset(features=iris_ds.features[idx], labels=iris_ds.labels[idx])
+        ens = stratified_bootstrap(ds, k=400, seed=seed)
+        for level in REGION_LEVELS:
+            assert_region_matches_full_kernel(ens, level)
+    for k in range(3, 11):
+        ens = stratified_bootstrap(iris_ds, k=k, seed=k)
+        for level in REGION_LEVELS:
+            assert_region_matches_full_kernel(ens, level)
+
+
+@pytest.mark.filterwarnings("ignore:only .* valid replicates")
+def test_region_matches_full_kernel_on_synthetic_clouds():
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        k = int(rng.integers(3, 400))
+        span = int(rng.integers(1, 7))
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=k)
+        # inside the unit disk; dividing by 16 keeps grids exact
+        for points in (
+            rng.integers(-span, span + 1, size=(k, 2)) / 16,
+            np.outer(rng.integers(-span, span + 1, size=k), [1.0, 2.0]) / 16,
+            0.9 * np.column_stack([np.cos(angle), np.sin(angle)]),
+            0.2 * rng.normal(size=(span + 2, 2))[rng.integers(0, span + 2, size=k)],
+        ):
+            ens = ensemble_of(points)
+            for level in REGION_LEVELS:
+                assert_region_matches_full_kernel(ens, level)
+
+
+@pytest.mark.filterwarnings("ignore:only .* valid replicates")
+@pytest.mark.parametrize("seed", [629, 2012, 2084])
+def test_deepest_member_is_first_of_ties_even_with_a_tight_bound(seed):
+    # copies of a few points, where the first deepest point has an upper
+    # bound equal to its depth and is not among the first candidates
+    rng = np.random.default_rng(seed)
+    k, span = int(rng.integers(3, 80)), int(rng.integers(1, 4))
+    ens = ensemble_of(0.2 * rng.normal(size=(span + 2, 2))[rng.integers(0, span + 2, size=k)])
+    # before any region has computed a depth
+    assert ens._region_depths.deepest() == np.argmax(ens.cloud_depths)
+    for level in REGION_LEVELS:
+        assert_region_matches_full_kernel(ens, level)
+
+
 def reference_hull_and_area(points):
     from scipy.spatial import ConvexHull, QhullError
 
@@ -591,8 +659,7 @@ def test_region_summary_extremes(iris_ds):
     # summaries are region members
     assert summary.median.replicate in cr.member_indices
     # deepest point and tie-break by smallest replicate index
-    best = cr.member_depths.max()
-    first_best = cr.member_indices[np.flatnonzero(cr.member_depths == best)[0]]
+    first_best = np.flatnonzero(ens.valid_mask())[np.argmax(ens.cloud_depths)]
     assert summary.median.replicate == first_best
 
 
@@ -605,7 +672,7 @@ def test_region_summary_single_member():
         member_indices=np.array([4]),
         member_points=np.array([[0.2, 0.1]]),
         member_taus=np.array([0.27]),
-        member_depths=np.array([1.0]),
+        deepest=0,
         hull=np.array([[0.2, 0.1]]),
         area=0.0,
     )

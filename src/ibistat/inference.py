@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -230,26 +231,23 @@ class BootstrapEnsemble:
         return np.column_stack([self.u[valid], self.v[valid]])
 
     @functools.cached_property
-    def cloud_depths(self) -> np.ndarray:
-        """Tukey depth of each valid (u, v) point in the valid cloud;
-        read-only.  Confidence regions compute only the depths they need
-        (``_region_depths``); this full pass is their reference.
-        """
-        cloud = self.valid_cloud()
-        depths = tukey_depths(cloud, cloud)
-        depths.setflags(write=False)
-        return depths
-
-    @functools.cached_property
     def _region_depths(self) -> "_RegionDepths":
         """Exact depths of the valid cloud, filled in as regions need
         them and shared by the regions of every level."""
         return _RegionDepths(self.valid_cloud())
 
 
-# Bound on the values one chunk of replicates holds (8 MiB of float64 or
-# int64), so memory stays flat as K grows.
+# Bound on the values the chunks of replicates in flight hold together
+# (8 MiB of float64 or int64), so memory stays flat as K grows.
 _CHUNK_VALUES = 2**20
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _resampled_shape_stats(
@@ -261,15 +259,23 @@ def _resampled_shape_stats(
     ``stream_keys``.  ``draw(rng, keys)`` takes one Philox generator and
     the key rows of a chunk of m replicates, and returns an (m, N) index
     matrix whose columns hold group A's indices into ``feats[0]``, then
-    B's into ``feats[1]``, then C's into ``feats[2]``.  The generator,
-    built once by ``stream_generator`` for replicate 0, is re-keyed for
-    every replicate (``rekeyed_streams``), which gives the same bits as
-    a fresh generator per replicate.  A chunk holds at most
-    ``_CHUNK_VALUES`` values: per replicate, p gathered feature values
-    and two index-sized values (the index, and the raw words and
-    temporaries drawing it) per observation.  Each replicate's means
-    depend only on its own indices, so the chunk size never changes a
-    bit.
+    B's into ``feats[1]``, then C's into ``feats[2]``.  Each worker
+    builds one generator with ``stream_generator`` for replicate 0 and
+    re-keys it for every replicate (``rekeyed_streams``), which gives the
+    same bits as a fresh generator per replicate.
+
+    Per replicate a chunk holds p gathered feature values and two
+    index-sized values (the index, and the raw words and temporaries
+    drawing it) per observation, and the chunks in flight together hold
+    at most ``_CHUNK_VALUES`` values.  W workers run at once: at most
+    one per usable CPU (``_usable_cpus``), per full-size chunk of the K
+    replicates, and per replicate a full-size chunk holds, so each of
+    their chunks holds at least one replicate.  The calling thread is
+    worker 0 and a thread pool runs the others; worker i takes chunks i,
+    i + W, ... and writes only their rows of the means.  The gather and
+    the sums release the GIL, so the workers overlap.  With one chunk no
+    thread is started.  Each replicate's means depend only on its own
+    indices, so neither the chunk size nor W changes a bit.
 
     Group g of a chunk is gathered as an (n_g, m, p) block and summed
     over its observation axis 0.  numpy adds the n_g rows one after
@@ -281,23 +287,41 @@ def _resampled_shape_stats(
     as ``mean`` does over one column, where the (n_g, m) layout would
     add them one after another and change the low bits.
     """
-    rng = stream_generator(seed, domain, 0)
     keys = stream_keys(seed, domain, k)
     sizes = list(ds.n_per_group().values())
     ends = np.cumsum([0] + sizes)
-    step = max(1, _CHUNK_VALUES // (ds.n * (ds.p + 2)))
+    per_replicate = ds.n * (ds.p + 2)
+    full = _CHUNK_VALUES // per_replicate
+    workers = min(_usable_cpus(), -(-k // full), full) if full else 1
+    step = max(1, _CHUNK_VALUES // workers // per_replicate)
     means = np.empty((3, k, ds.p))
-    for lo in range(0, k, step):
-        idx = draw(rng, keys[lo : lo + step])
-        for g in range(3):
-            out = means[g, lo : lo + step]
-            cols = idx[:, ends[g] : ends[g + 1]]
-            if ds.p == 1:
-                # (m, n_g, 1) drops its unit axis and is summed pairwise
-                np.add.reduce(np.take(feats[g], cols, axis=0), axis=1, out=out)
-            else:
-                np.add.reduce(np.take(feats[g], cols.T, axis=0), axis=0, out=out)
-            out /= sizes[g]
+
+    def work(first: int) -> None:
+        rng = stream_generator(seed, domain, 0)
+        for lo in range(first * step, k, workers * step):
+            idx = draw(rng, keys[lo : lo + step])
+            for g in range(3):
+                out = means[g, lo : lo + step]
+                cols = idx[:, ends[g] : ends[g + 1]]
+                if ds.p == 1:
+                    # (m, n_g, 1) drops its unit axis and is summed pairwise
+                    np.add.reduce(np.take(feats[g], cols, axis=0), axis=1, out=out)
+                else:
+                    np.add.reduce(np.take(feats[g], cols.T, axis=0), axis=0, out=out)
+                out /= sizes[g]
+
+    if workers == 1:
+        work(0)
+    else:
+        # imported here, so a process that never needs a second worker
+        # never loads the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(work, i) for i in range(1, workers)]
+            work(0)
+            for future in futures:
+                future.result()
     return _centroid_shape_stats(means[0], means[1], means[2])
 
 
@@ -476,9 +500,9 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
     c = ceil(level * n) for n valid replicates, that is the (n - c)-th
     smallest depth: the c deepest points reach it, and any larger value
     leaves out that point and every point below it.  Threshold, members
-    and deepest member are those of the full ``ens.cloud_depths``, but
-    only the depths deciding them are computed (``_RegionDepths``), once
-    per ensemble for all levels.
+    and deepest member are those the depth of every valid point against
+    the valid cloud would give, but only the depths deciding them are
+    computed (``_RegionDepths``), once per ensemble for all levels.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")

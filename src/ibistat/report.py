@@ -85,6 +85,54 @@ class AnalysisConfig:
         object.__setattr__(self, "levels", tuple(float(lv) for lv in self.levels))
 
 
+def _parse_rows(rows, width, group_idx, col_idx, label_map):
+    """The group labels and the (rows, features) values of ``rows``, by
+    one ``float`` pass over every feature cell and one finiteness check;
+    None if any row has the wrong width, an unmapped label, or a cell
+    that is not a finite number."""
+    if any(len(row) != width for row in rows):
+        return None
+    try:
+        labels = [label_map[row[group_idx]] for row in rows]
+        cells = (row[ci] for row in rows for ci in col_idx)
+        values = np.fromiter(map(float, cells), dtype=float, count=len(rows) * len(col_idx))
+    except (KeyError, ValueError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return labels, values.reshape(len(rows), len(col_idx))
+
+
+def _parse_rows_per_cell(rows, header, group_idx, col_idx, feature_cols, config):
+    """``_parse_rows`` row by row and cell by cell, raising at the first
+    malformed row or cell with its 1-based line."""
+    label_map = {v: k for k, v in config.group_order.items()}
+    labels = []
+    values = np.empty((len(rows), len(col_idx)))
+    for i, row in enumerate(rows):
+        line = i + 2  # 1-based, after the header
+        if len(row) != len(header):
+            raise CsvParseError(line, "", f"expected {len(header)} fields, got {len(row)}")
+        raw_label = row[group_idx]
+        if raw_label not in label_map:
+            raise UnknownGroupLabelError(
+                f"line {line}: group label {raw_label!r} not covered by the "
+                f"A/B/C mapping {config.group_order}"
+            )
+        vec = values[i]
+        for j, ci in enumerate(col_idx):
+            try:
+                vec[j] = float(row[ci])
+            except ValueError:
+                raise CsvParseError(
+                    line, feature_cols[j], f"not a number: {row[ci]!r}"
+                ) from None
+            if not math.isfinite(vec[j]):
+                raise CsvParseError(line, feature_cols[j], "non-finite value")
+        labels.append(label_map[raw_label])
+    return labels, values
+
+
 def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
     """Read an RFC-4180 CSV with a header into a GroupedDataset.
 
@@ -121,30 +169,11 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
     col_idx = [header.index(c) for c in feature_cols]
 
     label_map = {v: k for k, v in config.group_order.items()}
-    labels = []
-    values = []
-    for i, row in enumerate(rows):
-        line = i + 2  # 1-based, after the header
-        if len(row) != len(header):
-            raise CsvParseError(line, "", f"expected {len(header)} fields, got {len(row)}")
-        raw_label = row[group_idx]
-        if raw_label not in label_map:
-            raise UnknownGroupLabelError(
-                f"line {line}: group label {raw_label!r} not covered by the "
-                f"A/B/C mapping {config.group_order}"
-            )
-        vec = np.empty(len(col_idx))
-        for j, ci in enumerate(col_idx):
-            try:
-                vec[j] = float(row[ci])
-            except ValueError:
-                raise CsvParseError(
-                    line, feature_cols[j], f"not a number: {row[ci]!r}"
-                ) from None
-            if not math.isfinite(vec[j]):
-                raise CsvParseError(line, feature_cols[j], "non-finite value")
-        labels.append(label_map[raw_label])
-        values.append(vec)
+    # the per-cell pass reads the same values, and names the first bad cell
+    parsed = _parse_rows(rows, len(header), group_idx, col_idx, label_map)
+    if parsed is None:
+        parsed = _parse_rows_per_cell(rows, header, group_idx, col_idx, feature_cols, config)
+    labels, values = parsed
 
     present = set(labels)
     if len(present) < 3:
@@ -153,7 +182,7 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
             f"groups missing from the data: {absent}"
         )
     return GroupedDataset(
-        features=np.array(values),
+        features=values,
         labels=np.array(labels, dtype=object),
         feature_names=tuple(feature_cols),
     )

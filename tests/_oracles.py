@@ -45,20 +45,31 @@ def quantile_type7(values, q) -> float:
     return float(xs[lo] + (h - lo) * (xs[hi] - xs[lo]))
 
 
-def assert_region_matches_full_kernel(ens, level) -> None:
-    """The region of ``ens`` at ``level`` is the one the depths of every
-    valid point (``ens.cloud_depths``) give: same threshold bits, members,
-    hull, area and deepest replicate (the first on ties)."""
+def cloud_depths(ens) -> np.ndarray:
+    """Tukey depth of each valid (u, v) point of ``ens`` in its valid
+    cloud, by one full pass of the kernel: the reference for confidence
+    regions, which compute only the depths they need."""
+    from ibistat.depth import tukey_depths
+
+    cloud = ens.valid_cloud()
+    return tukey_depths(cloud, cloud)
+
+
+def assert_region_matches_full_kernel(ens, levels) -> None:
+    """The region of ``ens`` at each of ``levels`` is the one the depths
+    of every valid point (``cloud_depths``) give: same threshold bits,
+    members, hull, area and deepest replicate (the first on ties)."""
     from ibistat.inference import _hull_and_area, confidence_region, region_summary
 
-    cr = confidence_region(ens, level)
     valid = np.flatnonzero(ens.valid_mask())
-    depths = ens.cloud_depths
-    threshold = float(np.sort(depths)[valid.size - math.ceil(level * valid.size)])
-    member = depths >= threshold
-    hull, area = _hull_and_area(ens.valid_cloud()[member])
-    assert cr.depth_threshold.hex() == threshold.hex(), (level, cr.depth_threshold, threshold)
-    np.testing.assert_array_equal(cr.member_indices, valid[member])
-    np.testing.assert_array_equal(cr.hull, hull)
-    assert cr.area == area
-    assert region_summary(cr).median.replicate == valid[np.argmax(depths)]
+    depths = cloud_depths(ens)
+    for level in levels:
+        cr = confidence_region(ens, level)
+        threshold = float(np.sort(depths)[valid.size - math.ceil(level * valid.size)])
+        member = depths >= threshold
+        hull, area = _hull_and_area(ens.valid_cloud()[member])
+        assert cr.depth_threshold.hex() == threshold.hex(), (level, cr.depth_threshold, threshold)
+        np.testing.assert_array_equal(cr.member_indices, valid[member], err_msg=f"level {level}")
+        np.testing.assert_array_equal(cr.hull, hull, err_msg=f"level {level}")
+        assert cr.area == area, (level, cr.area, area)
+        assert region_summary(cr).median.replicate == valid[np.argmax(depths)], level

@@ -35,6 +35,7 @@ from ibistat import (
     tau_null_cdf,
     tukey_depth,
 )
+from ibistat import inference
 from ibistat.cli import main
 from ibistat.datasets import iris_csv_path
 from ibistat.report import load_csv
@@ -216,10 +217,18 @@ def test_criterion_7_synthetic_concentration_contrast():
         assert cr2.member_taus.max() - cr2.member_taus.min() > 0.5
 
 
-def test_criterion_8_full_run_determinism(tmp_path):
+def test_criterion_8_full_run_determinism(tmp_path, monkeypatch):
     with criterion(8, "byte-identical reports across reruns and thread counts"):
         outputs = []
-        for name, threads in (("r1", "1"), ("r2", "1"), ("r8", "8")):
+        runs = (
+            ("r1", "1", None), ("r2", "1", None), ("r8", "8", None),
+            ("w1", "1", 1), ("w2", "1", 2),
+        )
+        for name, threads, workers in runs:
+            if workers is not None:
+                # chunks of at most 50 iris replicates, on 1 or 2 workers
+                monkeypatch.setattr(inference, "_CHUNK_VALUES", 50 * 150 * (4 + 2))
+                monkeypatch.setattr(inference, "_usable_cpus", lambda w=workers: w)
             report = tmp_path / f"{name}.json"
             plot = tmp_path / f"{name}.svg"
             code = main([
@@ -233,3 +242,4 @@ def test_criterion_8_full_run_determinism(tmp_path):
             assert code == 0
             outputs.append(report.read_bytes() + plot.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[3] == outputs[4]

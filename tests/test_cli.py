@@ -1,4 +1,5 @@
 import codecs
+import csv
 import hashlib
 import json
 import math
@@ -14,13 +15,20 @@ from ibistat import (
     CsvParseError,
     FewerThanThreeGroupsError,
     UnknownGroupLabelError,
+    inference,
 )
 from ibistat.cli import main
 from ibistat.datasets import iris_csv_path
-from ibistat.report import dumps_report, load_csv, run_analysis
+from ibistat.report import (
+    _parse_rows,
+    _parse_rows_per_cell,
+    dumps_report,
+    load_csv,
+    run_analysis,
+)
 from ibistat.sampling import sample_grouped_dataset
 from ibistat.svgplot import glyph_count, is_well_formed_xml, svg_from_report
-from conftest import iris_config
+from conftest import IRIS_FEATURES, IRIS_GROUPS, iris_config
 
 
 def write_csv(path, text):
@@ -63,15 +71,60 @@ def test_load_csv_bad_cell_names_row(tmp_path):
     assert err.value.column == "x"
 
 
+def abc_config(path):
+    groups = {"A": "a", "B": "b", "C": "c"}
+    return iris_config(input_path=path, group_column="g", group_order=groups)
+
+
 @pytest.mark.parametrize("text, message", [
     ("x,y,g\n1,2,a\n3,4,a\n\n5,6,b\n", "line 4, column '': expected 3 fields, got 0"),
     ("x,y,g\n1,2,a\n3,nan,a\n5,6,b\n", "line 3, column 'y': non-finite value"),
 ])
 def test_load_csv_rejects_blank_line_and_nan_cell(tmp_path, text, message):
     path = write_csv(tmp_path / "bad.csv", text)
-    cfg = iris_config(input_path=path, group_column="g", group_order={"A": "a", "B": "b", "C": "c"})
     with pytest.raises(CsvParseError) as err:
-        load_csv(path, cfg)
+        load_csv(path, abc_config(path))
+    assert str(err.value) == message
+
+
+def test_load_csv_whole_file_pass_reads_the_bits_of_the_per_cell_pass():
+    path = iris_csv_path()
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, *rows = csv.reader(fh)
+    cfg = iris_config()
+    group = header.index("species")
+    cols = [header.index(c) for c in IRIS_FEATURES]
+    label_map = {v: k for k, v in IRIS_GROUPS.items()}
+    labels, values = _parse_rows(rows, len(header), group, cols, label_map)
+    ref_labels, ref_values = _parse_rows_per_cell(rows, header, group, cols, IRIS_FEATURES, cfg)
+    assert labels == ref_labels
+    assert values.tobytes() == ref_values.tobytes()
+    assert load_csv(path, cfg).features.tobytes() == ref_values.tobytes()
+
+
+def test_load_csv_reads_cells_as_python_float_does(tmp_path):
+    # underscores, padding, signed zero and a subnormal, as float() reads them
+    cells = ["1_000", " 2.5 ", "-0.0", "1e-320", "+3", "16.", "1E3", "\t-7\n"]
+    lines = "".join(f'"{cell}",{g}\n' for cell, g in zip(cells, "abcabcab"))
+    path = write_csv(tmp_path / "literals.csv", "x,g\n" + lines)
+    values = load_csv(path, abc_config(path)).features[:, 0]
+    assert values.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("abc", "line 3, column 'y': not a number: 'abc'"),
+    ("nan", "line 3, column 'y': non-finite value"),
+    ("inf", "line 3, column 'y': non-finite value"),
+    ("-Infinity", "line 3, column 'y': non-finite value"),
+    ("1e999", "line 3, column 'y': non-finite value"),
+])
+def test_load_csv_names_the_first_bad_cell(tmp_path, cell, message):
+    # the bad cell comes before a row with an unknown label and one with
+    # a missing field, so it is the error reported
+    text = f"x,y,g\n1,2,a\n3,{cell},a\n5,6,zzz\n7,b\n8,9,c\n"
+    path = write_csv(tmp_path / "bad.csv", text)
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, abc_config(path))
     assert str(err.value) == message
 
 
@@ -178,10 +231,17 @@ def test_analyze_without_report_writes_it_to_stdout(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == report
 
 
-def test_analyze_thread_count_invariance(tmp_path):
+def test_analyze_thread_count_invariance(tmp_path, monkeypatch):
     a = run_analyze(tmp_path, "t1", "--threads", "1")
     b = run_analyze(tmp_path, "t8", "--threads", "8")
     assert a == b
+    # --threads has no effect; what varies is the number of resampling
+    # workers, given several chunks of at most 50 iris replicates
+    one_chunk = run_analyze(tmp_path, "one-chunk", "--perm", "200")
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", 50 * 150 * (4 + 2))
+    for workers in (1, 2):
+        monkeypatch.setattr(inference, "_usable_cpus", lambda w=workers: w)
+        assert run_analyze(tmp_path, f"w{workers}", "--perm", "200") == one_chunk
 
 
 def test_analyze_feature_subset_and_modes(tmp_path):

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,7 +26,7 @@ from ibistat import (
 )
 from ibistat.sampling import DOMAIN_BOOTSTRAP, DOMAIN_PERMUTATION
 from ibistat.shape import _centroid_shape_stats
-from _oracles import assert_region_matches_full_kernel, quantile_type7
+from _oracles import assert_region_matches_full_kernel, cloud_depths, quantile_type7
 from conftest import iris_config
 
 
@@ -225,30 +228,15 @@ def test_bootstrap_identity_hook_matches_observed(iris_ds):
     assert abs(stats["gamma"][0] - obs.gamma) <= 1e-12
 
 
-def test_resampling_chunk_size_does_not_change_results(iris_ds, monkeypatch):
-    # _CHUNK_VALUES = 1 gives one-replicate chunks (m = 1); p = 1 and
-    # p = 2 are where the gathered block loses or keeps a short axis
-    rng = np.random.default_rng(8)
-    datasets = [(iris_ds, 257)] + [
-        (make_dataset(rng, n=40, p=p, offsets=rng.normal(size=(3, p))), 100)
-        for p in (1, 2, 3)
-    ]
-    runs = []
-    for chunk in (inference._CHUNK_VALUES, 1):
-        monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk)
-        runs.append([
-            (stratified_bootstrap(ds, k=k, seed=4), permutation_test(ds, k=150, seed=5))
-            for ds, k in datasets
-        ])
-    for (ens_a, perm_a), (ens_b, perm_b) in zip(*runs):
-        assert_ensemble_equals(ens_a, vars(ens_b))
-        assert perm_a == perm_b
+def use_workers(monkeypatch, workers):
+    # the resampling kernel runs min(workers, chunks, replicates per
+    # full-size chunk) workers
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: workers)
 
 
-@pytest.mark.parametrize("k", [1, 7, 300])
-def test_resampling_builds_one_generator_per_call(iris_ds, monkeypatch, k):
-    # replicates re-key one generator; stream_generator, looked up in
-    # ibistat.inference, builds it once per bootstrap or permutation test
+def count_generators(monkeypatch):
+    # stream_generator, looked up in ibistat.inference, builds each
+    # worker's generator
     calls = []
 
     def counting(*args):
@@ -256,10 +244,48 @@ def test_resampling_builds_one_generator_per_call(iris_ds, monkeypatch, k):
         return stream_generator(*args)
 
     monkeypatch.setattr(inference, "stream_generator", counting)
-    stratified_bootstrap(iris_ds, k=k, seed=4)
-    assert len(calls) == 1
-    permutation_test(iris_ds, k=k, seed=4)
-    assert len(calls) == 2
+    return calls
+
+
+def test_resampling_chunk_size_does_not_change_results(iris_ds, monkeypatch):
+    # _CHUNK_VALUES = 1 gives one-replicate chunks (m = 1); p = 1 and
+    # p = 2 are where the gathered block loses or keeps a short axis;
+    # 9000 values give every dataset several chunks, shared by 1-3 workers
+    rng = np.random.default_rng(8)
+    datasets = [(iris_ds, 257)] + [
+        (make_dataset(rng, n=40, p=p, offsets=rng.normal(size=(3, p))), 100)
+        for p in (1, 2, 3)
+    ]
+    runs = []
+    settings = [(inference._CHUNK_VALUES, 1), (1, 1), (9000, 1), (9000, 2), (9000, 3)]
+    for chunk, workers in settings:
+        monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk)
+        use_workers(monkeypatch, workers)
+        runs.append([
+            (stratified_bootstrap(ds, k=k, seed=4), permutation_test(ds, k=150, seed=5))
+            for ds, k in datasets
+        ])
+    for results in zip(*runs):
+        for ens, perm in results[1:]:
+            assert_ensemble_equals(ens, vars(results[0][0]))
+            assert perm == results[0][1]
+
+
+@pytest.mark.parametrize("k", [1, 7, 300])
+def test_resampling_builds_one_generator_per_call(iris_ds, monkeypatch, k):
+    # each worker re-keys one generator for all its replicates; chunks
+    # of at most 4 iris replicates give min(workers, ceil(k / 4)) workers
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", 4 * iris_ds.n * (iris_ds.p + 2))
+    calls = count_generators(monkeypatch)
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        expected = min(workers, -(-k // 4))
+        calls.clear()
+        stratified_bootstrap(iris_ds, k=k, seed=4)
+        assert calls == [(4, DOMAIN_BOOTSTRAP, 0)] * expected
+        calls.clear()
+        permutation_test(iris_ds, k=k, seed=4)
+        assert calls == [(4, DOMAIN_PERMUTATION, 0)] * expected
 
 
 def reference_bootstrap(ds, k, seed):
@@ -315,6 +341,15 @@ def chunk_values(chunk, ds):
     return chunk * ds.n * (ds.p + 2)
 
 
+# K = 61 is a multiple of no W * step below: chunks of 7, 3 and 2
+# replicates for W = 1, 2 and 3 at chunk 7
+WORKER_K = 61
+
+
+def expected_workers(chunk, workers):
+    return workers if chunk == 7 else 1
+
+
 @pytest.mark.parametrize("chunk", ["default", 1, 7])
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 16])
 def test_permutation_matches_per_replicate_reference(monkeypatch, p, chunk):
@@ -327,9 +362,16 @@ def test_permutation_matches_per_replicate_reference(monkeypatch, p, chunk):
         return _centroid_shape_stats(xa, xb, xc)
 
     monkeypatch.setattr(inference, "_centroid_shape_stats", spy)
-    permutation_test(ds, k=60, seed=3)
-    (means,) = captured
-    np.testing.assert_array_equal(means, reference_permutation_means(ds, 60, 3))
+    calls = count_generators(monkeypatch)
+    reference = reference_permutation_means(ds, WORKER_K, 3)
+    for workers in (1, 2, 3):
+        use_workers(monkeypatch, workers)
+        captured.clear()
+        calls.clear()
+        permutation_test(ds, k=WORKER_K, seed=3)
+        (means,) = captured
+        np.testing.assert_array_equal(means, reference)
+        assert len(calls) == expected_workers(chunk, workers)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -337,8 +379,63 @@ def test_permutation_matches_per_replicate_reference(monkeypatch, p, chunk):
 def test_bootstrap_matches_per_replicate_reference_in_small_chunks(monkeypatch, p, chunk):
     ds = unequal_dataset(p)
     monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(chunk, ds))
-    ens = stratified_bootstrap(ds, k=60, seed=5)
-    assert_ensemble_equals(ens, reference_bootstrap(ds, 60, 5))
+    calls = count_generators(monkeypatch)
+    reference = reference_bootstrap(ds, WORKER_K, 5)
+    for workers in (1, 2, 3):
+        use_workers(monkeypatch, workers)
+        calls.clear()
+        ens = stratified_bootstrap(ds, k=WORKER_K, seed=5)
+        assert_ensemble_equals(ens, reference)
+        assert len(calls) == expected_workers(chunk, workers)
+
+
+def test_resampling_worker_error_propagates(iris_ds, monkeypatch):
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", 4 * iris_ds.n * (iris_ds.p + 2))
+    use_workers(monkeypatch, 2)
+    sizes = list(iris_ds.n_per_group().values())
+    feats = [iris_ds.group_features(g) for g in inference.GROUPS]
+
+    def draw(rng, keys):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("draw failed in a worker")
+        return sampling.bootstrap_indices(rng, keys, sizes)
+
+    with pytest.raises(RuntimeError, match="draw failed in a worker"):
+        inference._resampled_shape_stats(iris_ds, feats, 40, 1, DOMAIN_BOOTSTRAP, draw)
+
+
+def test_resampling_more_workers_than_cores_with_fast_switching(monkeypatch):
+    # 8 workers write interleaved two-replicate slices of one means
+    # array, switching threads every microsecond: a lost or misplaced
+    # write changes a replicate
+    ds = unequal_dataset(3)
+    reference = reference_bootstrap(ds, 301, 7)
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", 16 * ds.n * (ds.p + 2))
+    use_workers(monkeypatch, 8)
+    calls = count_generators(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ens = stratified_bootstrap(ds, k=301, seed=7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 8
+    assert_ensemble_equals(ens, reference)
+
+
+def test_single_chunk_starts_no_thread(iris_ds, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    use_workers(monkeypatch, 4)
+    # one chunk holds every replicate: analyze-iris's K = 1000 and 500
+    stratified_bootstrap(iris_ds, k=1000, seed=1)
+    permutation_test(iris_ds, k=500, seed=1)
+    # with two chunks the pool is needed, so the stub above is in use
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", 500 * iris_ds.n * (iris_ds.p + 2))
+    with pytest.raises(AssertionError, match="thread pool"):
+        stratified_bootstrap(iris_ds, k=1000, seed=1)
 
 
 def count_redrawn_rows(monkeypatch):
@@ -379,17 +476,25 @@ def test_bootstrap_all_rows_redrawn_is_bit_identical(iris_ds, monkeypatch):
     assert_ensemble_equals(redone, vars(vectorised))
 
 
-def test_bootstrap_memory_stays_bounded():
+def test_bootstrap_memory_stays_bounded(monkeypatch):
     rng = np.random.default_rng(12)
     ds = make_dataset(rng, n=2000, p=8)
-    tracemalloc.start()
-    try:
-        stratified_bootstrap(ds, k=400, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    calls = count_generators(monkeypatch)
+    peaks = []
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            stratified_bootstrap(ds, k=400, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(calls) == 1 + 2
     # the whole (K, n, p) gather of one group alone would be 49 MiB
-    assert peak < 32 * 2**20
+    assert peaks[1] < 32 * 2**20
+    # two workers share the bound on the values in flight, in half-size
+    # chunks, where full-size ones would double the peak
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_bootstrap_internal_consistency(iris_ds):
@@ -538,16 +643,15 @@ def test_confidence_region_threshold_matches_counting_rule(cloud):
         "three": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
     }[cloud]
     ens = ensemble_of(points)
+    depths = cloud_depths(ens)
     # in floats, 0.07 * 100 and 0.14 * 100 land just above an integer,
     # 0.29 * 100 and 0.57 * 100 just below
     levels = list(np.linspace(0.01, 0.99, 99)) + [0.07, 0.14, 0.29, 0.57, 0.7, 1 / 3, 2 / 3]
     for level in levels:
         cr = confidence_region(ens, level)
-        expected = reference_threshold(ens.cloud_depths, level)
+        expected = reference_threshold(depths, level)
         assert cr.depth_threshold == expected, level
-        np.testing.assert_array_equal(
-            cr.member_indices, np.flatnonzero(ens.cloud_depths >= expected)
-        )
+        np.testing.assert_array_equal(cr.member_indices, np.flatnonzero(depths >= expected))
 
 
 REGION_LEVELS = (0.5, 0.8, 0.95, 0.99)
@@ -565,8 +669,7 @@ def test_region_matches_full_kernel_on_iris(features, seed):
 
     ds = standardize(load_csv(iris_csv_path(), iris_config(features=features)), "feature")
     ens = stratified_bootstrap(ds, k=1000, seed=seed)
-    for level in REGION_LEVELS:
-        assert_region_matches_full_kernel(ens, level)
+    assert_region_matches_full_kernel(ens, REGION_LEVELS)
 
 
 @pytest.mark.filterwarnings("ignore:only .* valid replicates")
@@ -576,12 +679,10 @@ def test_region_matches_full_kernel_on_tiny_groups_and_few_replicates(iris_ds):
         idx = np.concatenate([iris_ds.group_indices(g)[:rows] for g in "ABC"])
         ds = GroupedDataset(features=iris_ds.features[idx], labels=iris_ds.labels[idx])
         ens = stratified_bootstrap(ds, k=400, seed=seed)
-        for level in REGION_LEVELS:
-            assert_region_matches_full_kernel(ens, level)
+        assert_region_matches_full_kernel(ens, REGION_LEVELS)
     for k in range(3, 11):
         ens = stratified_bootstrap(iris_ds, k=k, seed=k)
-        for level in REGION_LEVELS:
-            assert_region_matches_full_kernel(ens, level)
+        assert_region_matches_full_kernel(ens, REGION_LEVELS)
 
 
 @pytest.mark.filterwarnings("ignore:only .* valid replicates")
@@ -599,8 +700,7 @@ def test_region_matches_full_kernel_on_synthetic_clouds():
             0.2 * rng.normal(size=(span + 2, 2))[rng.integers(0, span + 2, size=k)],
         ):
             ens = ensemble_of(points)
-            for level in REGION_LEVELS:
-                assert_region_matches_full_kernel(ens, level)
+            assert_region_matches_full_kernel(ens, REGION_LEVELS)
 
 
 @pytest.mark.filterwarnings("ignore:only .* valid replicates")
@@ -612,9 +712,8 @@ def test_deepest_member_is_first_of_ties_even_with_a_tight_bound(seed):
     k, span = int(rng.integers(3, 80)), int(rng.integers(1, 4))
     ens = ensemble_of(0.2 * rng.normal(size=(span + 2, 2))[rng.integers(0, span + 2, size=k)])
     # before any region has computed a depth
-    assert ens._region_depths.deepest() == np.argmax(ens.cloud_depths)
-    for level in REGION_LEVELS:
-        assert_region_matches_full_kernel(ens, level)
+    assert ens._region_depths.deepest() == np.argmax(cloud_depths(ens))
+    assert_region_matches_full_kernel(ens, REGION_LEVELS)
 
 
 def reference_hull_and_area(points):
@@ -659,7 +758,7 @@ def test_region_summary_extremes(iris_ds):
     # summaries are region members
     assert summary.median.replicate in cr.member_indices
     # deepest point and tie-break by smallest replicate index
-    first_best = np.flatnonzero(ens.valid_mask())[np.argmax(ens.cloud_depths)]
+    first_best = np.flatnonzero(ens.valid_mask())[np.argmax(cloud_depths(ens))]
     assert summary.median.replicate == first_best
 
 

@@ -237,9 +237,20 @@ class BootstrapEnsemble:
         return _RegionDepths(self.valid_cloud())
 
 
-# Bound on the values the chunks of replicates in flight hold together
-# (8 MiB of float64 or int64), so memory stays flat as K grows.
-_CHUNK_VALUES = 2**20
+# Bound on the index and draw values the chunks of replicates in flight
+# hold together (4 MiB of int64 or uint64), so memory stays flat as K
+# grows.
+_CHUNK_VALUES = 2**19
+# Bound on the gathered feature values of one row block (512 KiB of
+# float64), so a block is reduced while it sits in a core's L2 cache.
+_BLOCK_VALUES = 2**16
+
+
+def _replicate_values(n: int, p: int) -> int:
+    """Values one replicate holds in a chunk of ``_resampled_shape_stats``
+    with n observations of p features: its draw words, the temporaries
+    drawing them and its index row, 3 n together, and one gathered row."""
+    return 3 * n + p
 
 
 def _usable_cpus() -> int:
@@ -264,33 +275,39 @@ def _resampled_shape_stats(
     re-keys it for every replicate (``rekeyed_streams``), which gives the
     same bits as a fresh generator per replicate.
 
-    Per replicate a chunk holds p gathered feature values and two
-    index-sized values (the index, and the raw words and temporaries
-    drawing it) per observation, and the chunks in flight together hold
-    at most ``_CHUNK_VALUES`` values.  W workers run at once: at most
-    one per usable CPU (``_usable_cpus``), per full-size chunk of the K
-    replicates, and per replicate a full-size chunk holds, so each of
-    their chunks holds at least one replicate.  The calling thread is
-    worker 0 and a thread pool runs the others; worker i takes chunks i,
-    i + W, ... and writes only their rows of the means.  The gather and
-    the sums release the GIL, so the workers overlap.  With one chunk no
-    thread is started.  Each replicate's means depend only on its own
-    indices, so neither the chunk size nor W changes a bit.
+    Per replicate a chunk holds ``_replicate_values(n, p)`` values, and
+    the chunks in flight together hold at most ``_CHUNK_VALUES``.  W
+    workers run at once: at most one per usable CPU (``_usable_cpus``),
+    per full-size chunk of the K replicates, and per replicate a
+    full-size chunk holds, so each of their chunks holds at least one
+    replicate.  The calling thread is worker 0 and a thread pool runs the
+    others; worker i takes chunks i, i + W, ... and writes only their
+    rows of the means.  The gather and the sums release the GIL, so the
+    workers overlap.  With one chunk no thread is started.  Each
+    replicate's means depend only on its own indices, so neither the
+    chunk size nor W changes a bit.
 
-    Group g of a chunk is gathered as an (n_g, m, p) block and summed
-    over its observation axis 0.  numpy adds the n_g rows one after
-    another, as it sums the rows of one replicate's (n_g, p) block, so
-    the bits are those of a per-replicate mean; but each add covers the
-    whole chunk's m * p values instead of one replicate's p.  At p = 1
-    the block is gathered as (m, n_g, 1) and summed over axis 1: numpy
-    drops the unit axis and sums each replicate's n_g values pairwise,
-    as ``mean`` does over one column, where the (n_g, m) layout would
-    add them one after another and change the low bits.
+    Group g of a chunk of m replicates is summed over its n_g
+    observations in row blocks: each block gathers the next R =
+    max(1, ``_BLOCK_VALUES`` // (m p)) observations of every replicate
+    as an (R, m, p) array, into one buffer each worker reuses, which
+    stays in cache while it is reduced over its axis 0.  numpy adds a
+    block's rows one after another, each add covering the chunk's m p
+    values; before a later block is reduced its first row gets the
+    running sum added (``block[0] += out``), and since IEEE addition is
+    commutative that is exactly the next add of the sequential sum.  So
+    the sum of n_g rows is the one numpy forms over one replicate's
+    (n_g, p) block, and every mean keeps the bits of a per-replicate
+    ``mean``, whatever R is.  At p = 1 the group is gathered whole, as
+    (m, n_g, 1), and summed over axis 1: numpy drops the unit axis and
+    sums each replicate's n_g values pairwise, as ``mean`` does over one
+    column, so blocks would change the low bits.  That gather holds at
+    most n values per replicate, within its count.
     """
     keys = stream_keys(seed, domain, k)
     sizes = list(ds.n_per_group().values())
     ends = np.cumsum([0] + sizes)
-    per_replicate = ds.n * (ds.p + 2)
+    per_replicate = _replicate_values(ds.n, ds.p)
     full = _CHUNK_VALUES // per_replicate
     workers = min(_usable_cpus(), -(-k // full), full) if full else 1
     step = max(1, _CHUNK_VALUES // workers // per_replicate)
@@ -298,8 +315,12 @@ def _resampled_shape_stats(
 
     def work(first: int) -> None:
         rng = stream_generator(seed, domain, 0)
+        # every block of this worker is gathered into one buffer; a block
+        # holds R m p values, at most the larger of _BLOCK_VALUES and m p
+        buffer = np.empty(max(_BLOCK_VALUES, step * ds.p))
         for lo in range(first * step, k, workers * step):
             idx = draw(rng, keys[lo : lo + step])
+            rows = max(1, _BLOCK_VALUES // (idx.shape[0] * ds.p))
             for g in range(3):
                 out = means[g, lo : lo + step]
                 cols = idx[:, ends[g] : ends[g + 1]]
@@ -307,7 +328,16 @@ def _resampled_shape_stats(
                     # (m, n_g, 1) drops its unit axis and is summed pairwise
                     np.add.reduce(np.take(feats[g], cols, axis=0), axis=1, out=out)
                 else:
-                    np.add.reduce(np.take(feats[g], cols.T, axis=0), axis=0, out=out)
+                    cols = cols.T
+                    for r in range(0, sizes[g], rows):
+                        at = cols[r : r + rows]
+                        block = buffer[: at.size * ds.p].reshape(*at.shape, ds.p)
+                        # the indices lie in range, so "clip" changes none;
+                        # unlike "raise" it writes straight into the buffer
+                        np.take(feats[g], at, axis=0, out=block, mode="clip")
+                        if r:
+                            block[0] += out  # carry the running sum
+                        np.add.reduce(block, axis=0, out=out)
                 out /= sizes[g]
 
     if workers == 1:
@@ -591,9 +621,11 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
     obs = ibi_pair(side_lengths(cfg))
 
     def draw(rng, keys):
+        # permutation(n) is arange(n) shuffled in place: the same draws
         idx = np.empty((len(keys), ds.n), dtype=np.int64)
+        idx[:] = np.arange(ds.n)
         for row, g in zip(idx, rekeyed_streams(rng, keys)):
-            row[:] = g.permutation(ds.n)
+            g.shuffle(row)
         return idx
 
     stats = _resampled_shape_stats(ds, [ds.features] * 3, k, seed, DOMAIN_PERMUTATION, draw)

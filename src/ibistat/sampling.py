@@ -165,13 +165,15 @@ def lemire_bounded(words: np.ndarray, bounds: np.ndarray) -> tuple:
     have drawn again there and shifted every later draw, so those rows
     are wrong and must be redrawn by ``integers`` itself.
     """
-    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")
     bounds = np.asarray(bounds, dtype=np.uint64)
-    draws = halves[:, : len(bounds)] * bounds
-    thresholds = ((np.uint64(2**32) - bounds) % bounds).astype(np.uint32)
-    # the cast to uint32 keeps the low 32 bits, in half the memory
-    rejected = (draws.astype(np.uint32) < thresholds).any(axis=1)
-    np.right_shift(draws, np.uint64(32), out=draws)
+    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")[:, : bounds.size]
+    # uint32 arithmetic wraps: -n is 2**32 - n, and half * n is the low
+    # 32 bits of the uint64 product
+    bounds32 = bounds.astype(np.uint32)
+    rejected = (halves * bounds32 < np.negative(bounds32) % bounds32).any(axis=1)
+    draws = halves.astype(np.uint64)
+    draws *= bounds
+    draws >>= np.uint64(32)
     return draws.view(np.int64), rejected
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import html
 
+import numpy as np
+
 from .shape import SideLengths, configuration_from_sides
 
 _W, _H = 720, 520
@@ -96,12 +98,13 @@ def svg_from_report(report: dict, regions: dict) -> str:
     level_keys = sorted(blocks, key=lambda k: -blocks[k]["level"])
     for i, key in enumerate(level_keys):
         color = _LEVEL_COLORS[min(i, len(_LEVEL_COLORS) - 1)]
-        dots = []
-        for u, v in regions[key].member_points.tolist():
-            x, y = _to_canvas(u, v)
-            dots.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.4" '
-                        f'fill="{color}" fill-opacity="0.55"/>')
-        parts.append(f'<g id="region-{key}">{"".join(dots)}</g>')
+        # the operations of _to_canvas, on all members at once; "%.3f"
+        # formats as _fmt does
+        pts = regions[key].member_points
+        xy = np.column_stack([_CX + _R * pts[:, 0], _CY - _R * pts[:, 1]])
+        dot = f'<circle cx="%.3f" cy="%.3f" r="1.4" fill="{color}" fill-opacity="0.55"/>'
+        dots = dot * len(xy) % tuple(xy.ravel().tolist())
+        parts.append(f'<g id="region-{key}">{dots}</g>')
 
     # markers: observed plus the summaries of the narrowest region
     marks = [("observed", report["observed"])]

@@ -1,4 +1,5 @@
-"""Independent reference implementations used only to check the library."""
+"""Independent reference implementations, and probes of the library's
+intermediates, used only to check the library."""
 
 import math
 
@@ -73,3 +74,56 @@ def assert_region_matches_full_kernel(ens, levels) -> None:
         np.testing.assert_array_equal(cr.hull, hull, err_msg=f"level {level}")
         assert cr.area == area, (level, cr.area, area)
         assert region_summary(cr).median.replicate == valid[np.argmax(depths)], level
+
+
+def reference_bootstrap(ds, k, seed) -> dict:
+    """The bootstrap as a loop: a fresh generator, one integers call and
+    one fancy-indexed mean per group and replicate."""
+    from ibistat.inference import GROUPS
+    from ibistat.sampling import DOMAIN_BOOTSTRAP, stream_generator
+    from ibistat.shape import _centroid_shape_stats
+
+    feats = [ds.group_features(g) for g in GROUPS]
+    means = np.empty((3, k, ds.p))
+    for j in range(k):
+        rng = stream_generator(seed, DOMAIN_BOOTSTRAP, j)
+        for g, f in enumerate(feats):
+            means[g, j] = f[rng.integers(0, len(f), size=len(f))].mean(axis=0)
+    return _centroid_shape_stats(means[0], means[1], means[2])
+
+
+def reference_permutation_means(ds, k, seed) -> np.ndarray:
+    """The permutation test's group means as a loop: a fresh generator,
+    one permutation and one fancy-indexed mean per group and replicate."""
+    from ibistat.inference import GROUPS
+    from ibistat.sampling import DOMAIN_PERMUTATION, stream_generator
+
+    sizes = [len(ds.group_indices(g)) for g in GROUPS]
+    ends = np.cumsum([0] + sizes)
+    means = np.empty((3, k, ds.p))
+    for j in range(k):
+        perm = stream_generator(seed, DOMAIN_PERMUTATION, j).permutation(ds.n)
+        for g in range(3):
+            means[g, j] = ds.features[perm[ends[g] : ends[g + 1]]].mean(axis=0)
+    return means
+
+
+def permutation_means(ds, k, seed) -> np.ndarray:
+    """The (3, k, p) group means ``permutation_test`` hands to the shape
+    statistics, caught on their way in."""
+    from ibistat import inference
+
+    captured = []
+    stats = inference._centroid_shape_stats
+
+    def spy(xa, xb, xc):
+        captured.append(np.stack([xa, xb, xc]))
+        return stats(xa, xb, xc)
+
+    inference._centroid_shape_stats = spy
+    try:
+        inference.permutation_test(ds, k=k, seed=seed)
+    finally:
+        inference._centroid_shape_stats = stats
+    (means,) = captured
+    return means

@@ -227,7 +227,9 @@ def test_criterion_8_full_run_determinism(tmp_path, monkeypatch):
         for name, threads, workers in runs:
             if workers is not None:
                 # chunks of at most 50 iris replicates, on 1 or 2 workers
-                monkeypatch.setattr(inference, "_CHUNK_VALUES", 50 * 150 * (4 + 2))
+                monkeypatch.setattr(
+                    inference, "_CHUNK_VALUES", 50 * inference._replicate_values(150, 4)
+                )
                 monkeypatch.setattr(inference, "_usable_cpus", lambda w=workers: w)
             report = tmp_path / f"{name}.json"
             plot = tmp_path / f"{name}.svg"

@@ -238,7 +238,7 @@ def test_analyze_thread_count_invariance(tmp_path, monkeypatch):
     # --threads has no effect; what varies is the number of resampling
     # workers, given several chunks of at most 50 iris replicates
     one_chunk = run_analyze(tmp_path, "one-chunk", "--perm", "200")
-    monkeypatch.setattr(inference, "_CHUNK_VALUES", 50 * 150 * (4 + 2))
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", 50 * inference._replicate_values(150, 4))
     for workers in (1, 2):
         monkeypatch.setattr(inference, "_usable_cpus", lambda w=workers: w)
         assert run_analyze(tmp_path, f"w{workers}", "--perm", "200") == one_chunk

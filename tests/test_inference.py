@@ -26,7 +26,14 @@ from ibistat import (
 )
 from ibistat.sampling import DOMAIN_BOOTSTRAP, DOMAIN_PERMUTATION
 from ibistat.shape import _centroid_shape_stats
-from _oracles import assert_region_matches_full_kernel, cloud_depths, quantile_type7
+from _oracles import (
+    assert_region_matches_full_kernel,
+    cloud_depths,
+    permutation_means,
+    quantile_type7,
+    reference_bootstrap,
+    reference_permutation_means,
+)
 from conftest import iris_config
 
 
@@ -234,6 +241,13 @@ def use_workers(monkeypatch, workers):
     monkeypatch.setattr(inference, "_usable_cpus", lambda: workers)
 
 
+def chunk_values(chunk, ds):
+    # "default", or a chunk of that many replicates
+    if chunk == "default":
+        return inference._CHUNK_VALUES
+    return chunk * inference._replicate_values(ds.n, ds.p)
+
+
 def count_generators(monkeypatch):
     # stream_generator, looked up in ibistat.inference, builds each
     # worker's generator
@@ -275,7 +289,7 @@ def test_resampling_chunk_size_does_not_change_results(iris_ds, monkeypatch):
 def test_resampling_builds_one_generator_per_call(iris_ds, monkeypatch, k):
     # each worker re-keys one generator for all its replicates; chunks
     # of at most 4 iris replicates give min(workers, ceil(k / 4)) workers
-    monkeypatch.setattr(inference, "_CHUNK_VALUES", 4 * iris_ds.n * (iris_ds.p + 2))
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(4, iris_ds))
     calls = count_generators(monkeypatch)
     for workers in (1, 2):
         use_workers(monkeypatch, workers)
@@ -286,18 +300,6 @@ def test_resampling_builds_one_generator_per_call(iris_ds, monkeypatch, k):
         calls.clear()
         permutation_test(iris_ds, k=k, seed=4)
         assert calls == [(4, DOMAIN_PERMUTATION, 0)] * expected
-
-
-def reference_bootstrap(ds, k, seed):
-    """The bootstrap as a loop: a fresh generator, one integers call and
-    one fancy-indexed mean per group and replicate."""
-    feats = [ds.group_features(g) for g in inference.GROUPS]
-    means = np.empty((3, k, ds.p))
-    for j in range(k):
-        rng = stream_generator(seed, DOMAIN_BOOTSTRAP, j)
-        for g, f in enumerate(feats):
-            means[g, j] = f[rng.integers(0, len(f), size=len(f))].mean(axis=0)
-    return _centroid_shape_stats(means[0], means[1], means[2])
 
 
 def assert_ensemble_equals(ens, stats):
@@ -314,31 +316,11 @@ def test_bootstrap_matches_per_replicate_reference(n, p, seed):
     assert_ensemble_equals(ens, reference_bootstrap(ds, 60, seed))
 
 
-def reference_permutation_means(ds, k, seed):
-    """The permutation test's group means as a loop: a fresh generator,
-    one permutation and one fancy-indexed mean per group and replicate."""
-    sizes = [len(ds.group_indices(g)) for g in inference.GROUPS]
-    ends = np.cumsum([0] + sizes)
-    means = np.empty((3, k, ds.p))
-    for j in range(k):
-        perm = stream_generator(seed, DOMAIN_PERMUTATION, j).permutation(ds.n)
-        for g in range(3):
-            means[g, j] = ds.features[perm[ends[g] : ends[g + 1]]].mean(axis=0)
-    return means
-
-
 def unequal_dataset(p, sizes=(11, 7, 16)):
     # labels interleaved, so group rows are not contiguous in ds.features
     rng = np.random.default_rng(p)
     labels = rng.permutation(np.repeat(np.array(["A", "B", "C"]), sizes))
     return GroupedDataset(features=rng.normal(size=(sum(sizes), p)), labels=labels)
-
-
-def chunk_values(chunk, ds):
-    # "default", or a chunk of that many replicates
-    if chunk == "default":
-        return inference._CHUNK_VALUES
-    return chunk * ds.n * (ds.p + 2)
 
 
 # K = 61 is a multiple of no W * step below: chunks of 7, 3 and 2
@@ -355,21 +337,12 @@ def expected_workers(chunk, workers):
 def test_permutation_matches_per_replicate_reference(monkeypatch, p, chunk):
     ds = unequal_dataset(p)
     monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(chunk, ds))
-    captured = []
-
-    def spy(xa, xb, xc):
-        captured.append(np.stack([xa, xb, xc]))
-        return _centroid_shape_stats(xa, xb, xc)
-
-    monkeypatch.setattr(inference, "_centroid_shape_stats", spy)
     calls = count_generators(monkeypatch)
     reference = reference_permutation_means(ds, WORKER_K, 3)
     for workers in (1, 2, 3):
         use_workers(monkeypatch, workers)
-        captured.clear()
         calls.clear()
-        permutation_test(ds, k=WORKER_K, seed=3)
-        (means,) = captured
+        means = permutation_means(ds, WORKER_K, 3)
         np.testing.assert_array_equal(means, reference)
         assert len(calls) == expected_workers(chunk, workers)
 
@@ -389,8 +362,46 @@ def test_bootstrap_matches_per_replicate_reference_in_small_chunks(monkeypatch, 
         assert len(calls) == expected_workers(chunk, workers)
 
 
+def use_blocks(monkeypatch, block, ds, chunk):
+    # "row": one row per block; "uneven": 3 rows per block in the first
+    # chunk of 61 or 7 replicates, splitting the groups of 11, 7 and 16
+    # rows unevenly (later, smaller chunks take more rows); "default":
+    # one block per group
+    replicates = WORKER_K if chunk == "default" else chunk
+    values = {"row": 1, "uneven": 3 * replicates * ds.p}.get(block, inference._BLOCK_VALUES)
+    monkeypatch.setattr(inference, "_BLOCK_VALUES", values)
+
+
+@pytest.mark.parametrize("chunk", ["default", 7])
+@pytest.mark.parametrize("block", ["row", "uneven", "default"])
+@pytest.mark.parametrize("p", [2, 3, 16])
+def test_bootstrap_matches_per_replicate_reference_in_row_blocks(monkeypatch, p, block, chunk):
+    # each block after the first carries the running sum into its first
+    # row, so any block size gives the bits of a per-replicate mean
+    ds = unequal_dataset(p)
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(chunk, ds))
+    use_blocks(monkeypatch, block, ds, chunk)
+    reference = reference_bootstrap(ds, WORKER_K, 5)
+    for workers in (1, 3):
+        use_workers(monkeypatch, workers)
+        assert_ensemble_equals(stratified_bootstrap(ds, k=WORKER_K, seed=5), reference)
+
+
+@pytest.mark.parametrize("chunk", ["default", 7])
+@pytest.mark.parametrize("block", ["row", "uneven", "default"])
+@pytest.mark.parametrize("p", [2, 3, 16])
+def test_permutation_matches_per_replicate_reference_in_row_blocks(monkeypatch, p, block, chunk):
+    ds = unequal_dataset(p)
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(chunk, ds))
+    use_blocks(monkeypatch, block, ds, chunk)
+    reference = reference_permutation_means(ds, WORKER_K, 3)
+    for workers in (1, 3):
+        use_workers(monkeypatch, workers)
+        np.testing.assert_array_equal(permutation_means(ds, WORKER_K, 3), reference)
+
+
 def test_resampling_worker_error_propagates(iris_ds, monkeypatch):
-    monkeypatch.setattr(inference, "_CHUNK_VALUES", 4 * iris_ds.n * (iris_ds.p + 2))
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(4, iris_ds))
     use_workers(monkeypatch, 2)
     sizes = list(iris_ds.n_per_group().values())
     feats = [iris_ds.group_features(g) for g in inference.GROUPS]
@@ -410,7 +421,7 @@ def test_resampling_more_workers_than_cores_with_fast_switching(monkeypatch):
     # write changes a replicate
     ds = unequal_dataset(3)
     reference = reference_bootstrap(ds, 301, 7)
-    monkeypatch.setattr(inference, "_CHUNK_VALUES", 16 * ds.n * (ds.p + 2))
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(16, ds))
     use_workers(monkeypatch, 8)
     calls = count_generators(monkeypatch)
     interval = sys.getswitchinterval()
@@ -433,7 +444,7 @@ def test_single_chunk_starts_no_thread(iris_ds, monkeypatch):
     stratified_bootstrap(iris_ds, k=1000, seed=1)
     permutation_test(iris_ds, k=500, seed=1)
     # with two chunks the pool is needed, so the stub above is in use
-    monkeypatch.setattr(inference, "_CHUNK_VALUES", 500 * iris_ds.n * (iris_ds.p + 2))
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(500, iris_ds))
     with pytest.raises(AssertionError, match="thread pool"):
         stratified_bootstrap(iris_ds, k=1000, seed=1)
 
@@ -476,16 +487,16 @@ def test_bootstrap_all_rows_redrawn_is_bit_identical(iris_ds, monkeypatch):
     assert_ensemble_equals(redone, vars(vectorised))
 
 
-def test_bootstrap_memory_stays_bounded(monkeypatch):
-    rng = np.random.default_rng(12)
-    ds = make_dataset(rng, n=2000, p=8)
+def assert_memory_stays_bounded(monkeypatch, resample):
+    # 3 groups of 2000 rows and 8 features, on 1 and then 2 workers
+    ds = make_dataset(np.random.default_rng(12), n=2000, p=8)
     calls = count_generators(monkeypatch)
     peaks = []
     for workers in (1, 2):
         use_workers(monkeypatch, workers)
         tracemalloc.start()
         try:
-            stratified_bootstrap(ds, k=400, seed=0)
+            resample(ds, k=400, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -495,6 +506,14 @@ def test_bootstrap_memory_stays_bounded(monkeypatch):
     # two workers share the bound on the values in flight, in half-size
     # chunks, where full-size ones would double the peak
     assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_bootstrap_memory_stays_bounded(monkeypatch):
+    assert_memory_stays_bounded(monkeypatch, stratified_bootstrap)
+
+
+def test_permutation_memory_stays_bounded(monkeypatch):
+    assert_memory_stays_bounded(monkeypatch, permutation_test)
 
 
 def test_bootstrap_internal_consistency(iris_ds):

@@ -12,6 +12,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -85,6 +86,23 @@ class AnalysisConfig:
         object.__setattr__(self, "levels", tuple(float(lv) for lv in self.levels))
 
 
+# Rows are read and parsed in blocks of about this many cells, so the
+# loader holds the feature matrix plus one block of cells as strings.
+_BLOCK_CELLS = 2**14
+
+
+def _read_rows(reader, count):
+    """Up to ``count`` rows of ``reader``, and the CsvParseError of the
+    row that stopped it early (None if none did)."""
+    rows = []
+    try:
+        for row in islice(reader, count):
+            rows.append(row)
+    except csv.Error as exc:
+        return rows, CsvParseError(reader.line_num, "", str(exc))
+    return rows, None
+
+
 def _parse_rows(rows, width, group_idx, col_idx, label_map):
     """The group labels and the (rows, features) values of ``rows``, by
     one ``float`` pass over every feature cell and one finiteness check;
@@ -103,14 +121,15 @@ def _parse_rows(rows, width, group_idx, col_idx, label_map):
     return labels, values.reshape(len(rows), len(col_idx))
 
 
-def _parse_rows_per_cell(rows, header, group_idx, col_idx, feature_cols, config):
+def _parse_rows_per_cell(rows, first_line, header, group_idx, col_idx, feature_cols, config):
     """``_parse_rows`` row by row and cell by cell, raising at the first
-    malformed row or cell with its 1-based line."""
+    malformed row or cell with its 1-based line; ``rows[0]`` is on line
+    ``first_line``."""
     label_map = {v: k for k, v in config.group_order.items()}
     labels = []
     values = np.empty((len(rows), len(col_idx)))
     for i, row in enumerate(rows):
-        line = i + 2  # 1-based, after the header
+        line = first_line + i
         if len(row) != len(header):
             raise CsvParseError(line, "", f"expected {len(header)} fields, got {len(row)}")
         raw_label = row[group_idx]
@@ -133,24 +152,9 @@ def _parse_rows_per_cell(rows, header, group_idx, col_idx, feature_cols, config)
     return labels, values
 
 
-def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
-    """Read an RFC-4180 CSV with a header into a GroupedDataset.
-
-    Malformed feature cells raise CsvParseError carrying the 1-based file
-    line; group labels must be covered by the configured A/B/C mapping.
-    A UTF-8 byte-order mark is ignored, and a column name repeated in the
-    header or in the feature list is rejected.
-    """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(1, "", "empty file, header row required") from None
-        rows = list(reader)
-
+def _header_columns(header, config):
+    """The group column's index, the feature columns and their indices
+    in ``header``; CsvParseError on line 1 if they do not fit it."""
     for names in (header, config.feature_columns):
         repeated = [c for c, count in Counter(names).items() if count > 1]
         if repeated:
@@ -167,13 +171,54 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
     if missing:
         raise CsvParseError(1, missing[0], "feature column not in header")
     col_idx = [header.index(c) for c in feature_cols]
+    return group_idx, feature_cols, col_idx
 
-    label_map = {v: k for k, v in config.group_order.items()}
-    # the per-cell pass reads the same values, and names the first bad cell
-    parsed = _parse_rows(rows, len(header), group_idx, col_idx, label_map)
-    if parsed is None:
-        parsed = _parse_rows_per_cell(rows, header, group_idx, col_idx, feature_cols, config)
-    labels, values = parsed
+
+def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
+    """Read an RFC-4180 CSV with a header into a GroupedDataset.
+
+    The header is checked before any row is read: a UTF-8 byte-order mark
+    is ignored, and a column name repeated in the header or in the
+    feature list is rejected. Rows are then read and parsed in blocks of
+    about ``_BLOCK_CELLS`` cells (at least one row), so the loader holds
+    the feature matrix plus one block of cells. The first malformed row
+    or cell in file order raises CsvParseError carrying its 1-based file
+    line, as does a row the CSV reader cannot split; group labels must be
+    covered by the configured A/B/C mapping.
+    """
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"input file not found: {path}")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        first, error = _read_rows(reader, 1)
+        if error is not None:
+            raise error
+        if not first:
+            raise CsvParseError(1, "", "empty file, header row required")
+        header = first[0]
+
+        group_idx, feature_cols, col_idx = _header_columns(header, config)
+        label_map = {v: k for k, v in config.group_order.items()}
+        block_rows = max(1, _BLOCK_CELLS // len(header))
+        labels, blocks = [], []
+        line = 2  # the file line of the block's first row
+        while True:
+            rows, error = _read_rows(reader, block_rows)
+            # the per-cell pass reads the same values, and names the first bad cell
+            block_labels, block_values = _parse_rows(
+                rows, len(header), group_idx, col_idx, label_map
+            ) or _parse_rows_per_cell(rows, line, header, group_idx, col_idx, feature_cols, config)
+            labels += block_labels
+            blocks.append(block_values)
+            line += len(rows)
+            full = len(rows) == block_rows
+            del rows  # free the block's strings before the next is read
+            if error is not None:
+                raise error
+            if not full:
+                break
+    values = np.concatenate(blocks)
+    del blocks  # GroupedDataset copies the matrix again
 
     present = set(labels)
     if len(present) < 3:

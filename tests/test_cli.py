@@ -3,7 +3,9 @@ import csv
 import hashlib
 import json
 import math
+import re
 import shutil
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -96,7 +98,7 @@ def test_load_csv_whole_file_pass_reads_the_bits_of_the_per_cell_pass():
     cols = [header.index(c) for c in IRIS_FEATURES]
     label_map = {v: k for k, v in IRIS_GROUPS.items()}
     labels, values = _parse_rows(rows, len(header), group, cols, label_map)
-    ref_labels, ref_values = _parse_rows_per_cell(rows, header, group, cols, IRIS_FEATURES, cfg)
+    ref_labels, ref_values = _parse_rows_per_cell(rows, 2, header, group, cols, IRIS_FEATURES, cfg)
     assert labels == ref_labels
     assert values.tobytes() == ref_values.tobytes()
     assert load_csv(path, cfg).features.tobytes() == ref_values.tobytes()
@@ -154,6 +156,135 @@ def test_load_csv_rejects_repeated_column_names(tmp_path):
     with pytest.raises(CsvParseError) as err:
         load_csv(plain, cfg)
     assert (err.value.line, err.value.column) == (1, "y")
+
+
+# ---------------------------------------------------------------------------
+# CSV loading in row blocks
+
+
+def rows_per_block(monkeypatch, rows, width):
+    """Make load_csv read ``rows`` rows of ``width`` fields per block."""
+    monkeypatch.setattr("ibistat.report._BLOCK_CELLS", rows * width)
+
+
+def abc_csv(tmp_path, n_rows, replaced=None):
+    """A header and ``n_rows`` valid x,y,g rows on lines 2 to n_rows + 1,
+    with ``replaced`` mapping a line to the row put there instead."""
+    rows = [f"{i},{i + 0.5},{'abc'[i % 3]}" for i in range(n_rows)]
+    for line, row in (replaced or {}).items():
+        rows[line - 2] = row
+    return write_csv(tmp_path / "blocks.csv", "x,y,g\n" + "".join(r + "\n" for r in rows))
+
+
+# blocks of 3 rows start on lines 2, 5, 8 and 11
+@pytest.mark.parametrize("line", [2, 4, 5, 7, 9, 13])
+@pytest.mark.parametrize("row, message", [
+    ("1,oops,a", "column 'y': not a number: 'oops'"),
+    ("1,a", "column '': expected 3 fields, got 2"),
+])
+def test_load_csv_names_the_true_line_in_any_block(tmp_path, monkeypatch, line, row, message):
+    rows_per_block(monkeypatch, 3, 3)
+    path = abc_csv(tmp_path, 12, {line: row})
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, abc_config(path))
+    assert str(err.value) == f"line {line}, {message}"
+
+
+def test_load_csv_reports_the_first_of_two_bad_blocks(tmp_path, monkeypatch):
+    rows_per_block(monkeypatch, 3, 3)
+    path = abc_csv(tmp_path, 12, {6: "1,nan,b", 9: "1,oops,c", 10: "1,a"})
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, abc_config(path))
+    assert str(err.value) == "line 6, column 'y': non-finite value"
+
+
+def test_load_csv_unknown_label_in_an_early_block_wins(tmp_path, monkeypatch):
+    rows_per_block(monkeypatch, 3, 3)
+    path = abc_csv(tmp_path, 12, {3: "1,2,zzz", 6: "1,oops,c"})
+    with pytest.raises(UnknownGroupLabelError, match="^line 3: group label 'zzz'"):
+        load_csv(path, abc_config(path))
+
+
+def test_load_csv_reader_error_comes_in_file_order(tmp_path, monkeypatch):
+    # a row the CSV reader cannot split names its line like a bad cell,
+    # and a bad cell before it in the same block is reported first
+    rows_per_block(monkeypatch, 3, 3)
+    long_row = "1," + "2" * (csv.field_size_limit() + 1) + ",a"
+    limit = f"field larger than field limit ({csv.field_size_limit()})"
+    path = abc_csv(tmp_path, 12, {7: long_row})
+    with pytest.raises(CsvParseError, match=rf"^line 7, column '': {re.escape(limit)}$"):
+        load_csv(path, abc_config(path))
+    path = abc_csv(tmp_path, 12, {6: "1,oops,c", 7: long_row})
+    with pytest.raises(CsvParseError, match="^line 6, column 'y'"):
+        load_csv(path, abc_config(path))
+
+
+def test_load_csv_header_error_comes_before_any_row(tmp_path):
+    long_row = "1," + "2" * (csv.field_size_limit() + 1) + ",a"
+    path = write_csv(tmp_path / "both.csv", "x,y,h\n" + long_row + "\n")
+    with pytest.raises(CsvParseError, match="^line 1, column 'g': group column not in header$"):
+        load_csv(path, abc_config(path))
+
+
+def test_analyze_reports_a_row_the_csv_reader_cannot_split(tmp_path, capsys):
+    path = write_csv(tmp_path / "long.csv", "x,g\n1,a\n" + "1" * 140_000 + ",b\n")
+    code = main(["analyze", "--input", path, "--group-col", "g", "--groups", "A=a,B=b,C=c"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "ibistat: error: line 3, column '': field larger than field limit "
+        f"({csv.field_size_limit()})\n"
+    )
+
+
+QUOTED_CSV = (
+    'x,note,y,g\n'
+    '"1.5","one, two",2,a\n'
+    '" 2 ","line\nbreak","-0.0",b\n'
+    '3e1,"say ""hi""",4,"c"\n'
+    '"4_0","",5.25,a\n'
+    '5,x,"6",b\n'
+    '-6,"a,b,c",7,c\n'
+    '7,,1e-320,"a"\n'
+)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 50])
+def test_load_csv_in_row_blocks_reads_the_bytes_of_one_block(tmp_path, monkeypatch, rows):
+    # 50 rows of iris end in an empty block, 7 in a short one
+    quoted = write_csv(tmp_path / "quoted.csv", QUOTED_CSV)
+    groups = {"A": "a", "B": "b", "C": "c"}
+    configs = [iris_config(), iris_config(features=("x", "y"), input_path=quoted,
+                                          group_column="g", group_order=groups)]
+    whole = [load_csv(cfg.input_path, cfg) for cfg in configs]
+    for cfg, one_block in zip(configs, whole):
+        with open(cfg.input_path, newline="", encoding="utf-8-sig") as fh:
+            width = len(next(csv.reader(fh)))
+        rows_per_block(monkeypatch, rows, width)
+        blocks = load_csv(cfg.input_path, cfg)
+        assert blocks.features.tobytes() == one_block.features.tobytes()
+        assert blocks.labels.tolist() == one_block.labels.tolist()
+    assert whole[1].n == 7
+
+
+@pytest.mark.parametrize("rows, features", [(20_000, 16), (200, 2_000)])
+def test_load_csv_memory_stays_bounded(tmp_path, rows, features):
+    # a long and a wide file; holding every cell as a string until the
+    # whole file is parsed peaks at about 12 times the matrix
+    values = np.random.default_rng(5).normal(size=(rows, features))
+    header = ",".join(f"x{j}" for j in range(features)) + ",g\n"
+    lines = (",".join(map(repr, row)) + f",{'abc'[i % 3]}\n" for i, row in enumerate(values.tolist()))
+    path = write_csv(tmp_path / "big.csv", header + "".join(lines))
+    cfg = abc_config(path)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.tobytes() == values.tobytes()
+    # the blocks' values and the matrix they are joined into, or the
+    # values read so far and one block of 2^14 cells as strings
+    assert peak < 2.5 * ds.features.nbytes + 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +387,16 @@ def test_analyze_feature_subset_and_modes(tmp_path):
 
 
 def test_analyze_observed_goldens(tmp_path):
-    # all four features, no scaling: the tau reference value
-    raw = run_analyze(tmp_path, "g1", "--standardize", "none", "--boot", "50")
+    # all four features, no scaling: the tau reference value; 50
+    # replicates make coarse regions
+    with pytest.warns(UserWarning, match="the confidence region is coarse"):
+        raw = run_analyze(tmp_path, "g1", "--standardize", "none", "--boot", "50")
     assert abs(json.loads(raw)["observed"]["tau"] - 0.909) <= 0.002
     # sepal pair, unit-variance scaling: the gamma reference value
-    raw = run_analyze(
-        tmp_path, "g2", "--features", "sepal_length,sepal_width", "--boot", "50"
-    )
+    with pytest.warns(UserWarning, match="the confidence region is coarse"):
+        raw = run_analyze(
+            tmp_path, "g2", "--features", "sepal_length,sepal_width", "--boot", "50"
+        )
     assert abs(json.loads(raw)["observed"]["gamma"] - 0.103) <= 0.002
 
 
@@ -556,11 +690,12 @@ def test_analyze_rejects_bad_groups():
 
 def test_simulate_single_run(tmp_path, capsys):
     out = tmp_path / "row.csv"
-    code = main([
-        "simulate", "--r", "0.5", "--phi", str(math.pi / 3), "--p", "2",
-        "--n", "20", "--sigma2", "1.0", "--sims", "1", "--boot", "80",
-        "--seed", "3", "--out", str(out),
-    ])
+    with pytest.warns(UserWarning, match="regions are coarse"):
+        code = main([
+            "simulate", "--r", "0.5", "--phi", str(math.pi / 3), "--p", "2",
+            "--n", "20", "--sigma2", "1.0", "--sims", "1", "--boot", "80",
+            "--seed", "3", "--out", str(out),
+        ])
     assert code == 0
     row = json.loads(capsys.readouterr().out)
     assert row["ci_coverage"] in (0.0, 1.0)
@@ -576,9 +711,11 @@ def test_simulate_deterministic(capsys):
         "--n", "15", "--sigma2", "0.5", "--sims", "2", "--boot", "60",
         "--seed", "11",
     ]
-    assert main(args) == 0
+    with pytest.warns(UserWarning, match="regions are coarse"):
+        assert main(args) == 0
     first = capsys.readouterr().out
-    assert main(args) == 0
+    with pytest.warns(UserWarning, match="regions are coarse"):
+        assert main(args) == 0
     assert capsys.readouterr().out == first
 
 

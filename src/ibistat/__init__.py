@@ -40,9 +40,7 @@ from .inference import (
 )
 from .metrics import (
     IbiPair,
-    NullDensityParams,
     cosine_ibi,
-    ibi_pair,
     null_density_polar,
     null_density_sides,
     null_density_uv,

@@ -152,7 +152,8 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return _cmd_analyze(args)
         return _cmd_simulate(args)
-    except (IbistatError, FileNotFoundError, ValueError) as exc:
+    # OSError: a missing, unreadable or unwritable path, or a directory
+    except (IbistatError, OSError, ValueError) as exc:
         print(f"ibistat: error: {exc}", file=sys.stderr)
         return 1
 

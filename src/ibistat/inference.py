@@ -22,7 +22,7 @@ from .errors import (
     InsufficientReplicatesError,
     SingularCovarianceError,
 )
-from .metrics import IbiPair, ibi_pair, tau_ibi
+from .metrics import IbiPair, tau_ibi
 from .sampling import (
     DOMAIN_BOOTSTRAP,
     DOMAIN_PERMUTATION,
@@ -41,7 +41,6 @@ from .shape import (
     SideLengths,
     _centroid_shape_stats,
     shape_point,
-    side_lengths,
     sides_from_shape,
 )
 
@@ -108,13 +107,6 @@ class GroupedDataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "_rows", rows)
-
-    @classmethod
-    def from_observations(cls, observations, feature_names=()) -> "GroupedDataset":
-        obs = list(observations)
-        labels = np.array([o[0] for o in obs], dtype=object)
-        features = np.array([np.asarray(o[1], dtype=float) for o in obs])
-        return cls(features=features, labels=labels, feature_names=feature_names)
 
     @property
     def p(self) -> int:
@@ -191,11 +183,28 @@ def centroid_configuration(ds: GroupedDataset) -> Configuration:
     return Configuration(np.array([ds.group_features(g).mean(axis=0) for g in GROUPS]))
 
 
+def _observed_triangle(ds: GroupedDataset) -> tuple:
+    """``(observed, stats)`` of the centroid triangle: ``stats`` from
+    ``_centroid_shape_stats``, as for every resampled triangle, and the
+    report's ``observed`` fields, gamma (NaN where undefined), a2, b2 and
+    c2 from ``stats`` and tau, r, phi, u and v from ``shape_point``, which
+    raises DegenerateConfigurationError on coincident centroids."""
+    cfg = centroid_configuration(ds)
+    sp = shape_point(cfg)
+    stats = _centroid_shape_stats(cfg.landmarks[:, None])
+    a2, b2, c2, gamma = (float(stats[name][0]) for name in ("a2", "b2", "c2", "gamma"))
+    observed = {
+        "tau": tau_ibi(sp), "gamma": gamma, "r": sp.r, "phi": sp.phi, "u": sp.u, "v": sp.v,
+        "a2": a2, "b2": b2, "c2": c2,
+    }
+    return observed, stats
+
+
 def observed_ibi(ds: GroupedDataset, mode: str = "feature") -> IbiPair:
     """Both indices of the centroid triangle after standardization; gamma
     is NaN where B's centroid coincides with A's or C's."""
-    cfg = centroid_configuration(standardize(ds, mode))
-    return IbiPair(gamma=ibi_pair(side_lengths(cfg)).gamma, tau=tau_ibi(shape_point(cfg)))
+    observed, _ = _observed_triangle(standardize(ds, mode))
+    return IbiPair(gamma=observed["gamma"], tau=observed["tau"])
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +223,7 @@ class BootstrapEnsemble:
     gamma: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    a2: np.ndarray
-    b2: np.ndarray
-    c2: np.ndarray
     seed: int
-    k: int
     n_degenerate: int = 0
     n_gamma_undefined: int = 0
 
@@ -352,7 +357,7 @@ def _resampled_shape_stats(
             work(0)
             for future in futures:
                 future.result()
-    return _centroid_shape_stats(means[0], means[1], means[2])
+    return _centroid_shape_stats(means)
 
 
 def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnsemble:
@@ -375,8 +380,7 @@ def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnse
     stats = _resampled_shape_stats(ds, group_feats, k, seed, DOMAIN_BOOTSTRAP, draw)
     return BootstrapEnsemble(
         tau=stats["tau"], gamma=stats["gamma"], u=stats["u"], v=stats["v"],
-        a2=stats["a2"], b2=stats["b2"], c2=stats["c2"],
-        seed=int(seed), k=int(k),
+        seed=int(seed),
         n_degenerate=int(np.count_nonzero(stats["degenerate"])),
         n_gamma_undefined=int(np.count_nonzero(stats["gamma_undefined"])),
     )
@@ -613,12 +617,12 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
 
     Returns two-sided p-values ``{"p_tau": ..., "p_gamma": ...}`` with
     p = (1 + #{|stat_perm| >= |stat_obs|}) / (K + 1); permutations where
-    a statistic is undefined count as exceeding.
+    a statistic is undefined count as exceeding.  Observed and permuted
+    statistics come from one function (``_observed_triangle``).
     """
     if k < 1:
         raise ValueError("need at least one permutation")
-    cfg = centroid_configuration(ds)
-    obs = ibi_pair(side_lengths(cfg))
+    _, obs = _observed_triangle(ds)
 
     def draw(rng, keys):
         # permutation(n) is arange(n) shuffled in place: the same draws
@@ -638,8 +642,8 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
         return 1.0
 
     return {
-        "p_tau": pvalue(stats["tau"], obs.tau),
-        "p_gamma": pvalue(stats["gamma"], obs.gamma),
+        "p_tau": pvalue(stats["tau"], float(obs["tau"][0])),
+        "p_gamma": pvalue(stats["gamma"], float(obs["gamma"][0])),
     }
 
 

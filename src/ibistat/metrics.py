@@ -11,6 +11,9 @@ Two indices quantify how much landmark B sits between A and C:
 
 The null densities describe the shape of a triangle whose landmarks are
 iid isotropic normal in p dimensions.
+
+The scalar indices are the tests' reference; the program's gamma and tau
+come from the vectorized ``shape._centroid_shape_stats``.
 """
 
 from __future__ import annotations
@@ -26,10 +29,8 @@ from .shape import ShapePoint, SideLengths
 
 __all__ = [
     "IbiPair",
-    "NullDensityParams",
     "cosine_ibi",
     "tau_ibi",
-    "ibi_pair",
     "null_density_polar",
     "null_density_uv",
     "null_density_sides",
@@ -55,32 +56,6 @@ class IbiPair:
             raise ValueError(f"tau {self.tau} outside [-1, 1]")
         if math.isfinite(self.gamma) and not -1.0 - 1e-12 <= self.gamma <= 1.0 + 1e-12:
             raise ValueError(f"gamma {self.gamma} outside [-1, 1]")
-
-
-@dataclass(frozen=True)
-class NullDensityParams:
-    """Dimension (and, for the offset-normal kernel, concentration).
-
-    kappa = S^2 / (4 sigma^2) for centroid size S of the mean
-    configuration and per-coordinate noise variance sigma^2.
-    """
-
-    p: int
-    kappa: float = 0.0
-
-    def __post_init__(self):
-        if int(self.p) != self.p or self.p < 2:
-            raise ValueError(f"dimension p must be an integer >= 2, got {self.p}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "kappa", float(self.kappa))
-
-    @classmethod
-    def from_centroid_size(cls, p: int, size: float, sigma2: float) -> "NullDensityParams":
-        if sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        return cls(p=p, kappa=size * size / (4.0 * sigma2))
 
 
 def _check_p(p: int) -> int:
@@ -205,7 +180,9 @@ def offset_normal_density(rho, kappa: float):
 
     {1 + kappa [1 + cos(2 rho)]} exp{-kappa [1 - cos(2 rho)]} for
     rho in [0, pi/2]; constant 1 at kappa = 0.  Exposed as a kernel (no
-    normalizing constant is applied).
+    normalizing constant is applied).  The concentration is
+    kappa = S^2 / (4 sigma^2) for centroid size S of the mean
+    configuration and per-coordinate noise variance sigma^2.
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise DomainError(f"kappa must be finite and >= 0, got {kappa}")
@@ -215,13 +192,3 @@ def offset_normal_density(rho, kappa: float):
     c = np.cos(2.0 * rho)
     out = (1.0 + kappa * (1.0 + c)) * np.exp(-kappa * (1.0 - c))
     return out if out.ndim else float(out)
-
-
-def ibi_pair(sides: SideLengths) -> IbiPair:
-    """Both indices from side lengths; gamma is NaN where undefined."""
-    tau = 3.0 * sides.b2 - 1.0
-    try:
-        gamma = cosine_ibi(sides)
-    except UndefinedCosineIBIError:
-        gamma = math.nan
-    return IbiPair(gamma=gamma, tau=min(max(tau, -1.0), 1.0))

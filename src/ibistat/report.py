@@ -21,13 +21,12 @@ from ._version import __version__
 from .errors import (
     CsvParseError,
     FewerThanThreeGroupsError,
-    UndefinedCosineIBIError,
     UnknownGroupLabelError,
 )
 from .inference import (
     GROUPS,
     GroupedDataset,
-    centroid_configuration,
+    _observed_triangle,
     confidence_region,
     percentile_ci,
     permutation_test,
@@ -35,8 +34,6 @@ from .inference import (
     standardize,
     stratified_bootstrap,
 )
-from .metrics import cosine_ibi, tau_ibi
-from .shape import shape_point, side_lengths
 
 REPORT_FORMAT = 1
 
@@ -92,15 +89,18 @@ _BLOCK_CELLS = 2**14
 
 
 def _read_rows(reader, count):
-    """Up to ``count`` rows of ``reader``, and the CsvParseError of the
-    row that stopped it early (None if none did)."""
-    rows = []
+    """Up to ``count`` rows of ``reader``, the file line each starts on
+    (then the line after them; a quoted newline makes a row span lines),
+    and the CsvParseError of the row that stopped it early (None if none
+    did)."""
+    rows, lines = [], [reader.line_num + 1]
     try:
         for row in islice(reader, count):
             rows.append(row)
+            lines.append(reader.line_num + 1)
     except csv.Error as exc:
-        return rows, CsvParseError(reader.line_num, "", str(exc))
-    return rows, None
+        return rows, lines, CsvParseError(reader.line_num, "", str(exc))
+    return rows, lines, None
 
 
 def _parse_rows(rows, width, group_idx, col_idx, label_map):
@@ -121,15 +121,14 @@ def _parse_rows(rows, width, group_idx, col_idx, label_map):
     return labels, values.reshape(len(rows), len(col_idx))
 
 
-def _parse_rows_per_cell(rows, first_line, header, group_idx, col_idx, feature_cols, config):
+def _parse_rows_per_cell(rows, lines, header, group_idx, col_idx, feature_cols, config):
     """``_parse_rows`` row by row and cell by cell, raising at the first
-    malformed row or cell with its 1-based line; ``rows[0]`` is on line
-    ``first_line``."""
+    malformed row or cell with its 1-based line; ``rows[i]`` starts on
+    line ``lines[i]``."""
     label_map = {v: k for k, v in config.group_order.items()}
     labels = []
     values = np.empty((len(rows), len(col_idx)))
-    for i, row in enumerate(rows):
-        line = first_line + i
+    for i, (row, line) in enumerate(zip(rows, lines)):
         if len(row) != len(header):
             raise CsvParseError(line, "", f"expected {len(header)} fields, got {len(row)}")
         raw_label = row[group_idx]
@@ -190,7 +189,7 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
         raise FileNotFoundError(f"input file not found: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        first, error = _read_rows(reader, 1)
+        first, _, error = _read_rows(reader, 1)
         if error is not None:
             raise error
         if not first:
@@ -201,16 +200,14 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
         label_map = {v: k for k, v in config.group_order.items()}
         block_rows = max(1, _BLOCK_CELLS // len(header))
         labels, blocks = [], []
-        line = 2  # the file line of the block's first row
         while True:
-            rows, error = _read_rows(reader, block_rows)
+            rows, lines, error = _read_rows(reader, block_rows)
             # the per-cell pass reads the same values, and names the first bad cell
             block_labels, block_values = _parse_rows(
                 rows, len(header), group_idx, col_idx, label_map
-            ) or _parse_rows_per_cell(rows, line, header, group_idx, col_idx, feature_cols, config)
+            ) or _parse_rows_per_cell(rows, lines, header, group_idx, col_idx, feature_cols, config)
             labels += block_labels
             blocks.append(block_values)
-            line += len(rows)
             full = len(rows) == block_rows
             del rows  # free the block's strings before the next is read
             if error is not None:
@@ -233,26 +230,6 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
     )
 
 
-def _shape_block(cfg) -> dict:
-    sp = shape_point(cfg)
-    sides = side_lengths(cfg)
-    try:
-        gamma = cosine_ibi(sides)
-    except UndefinedCosineIBIError:
-        gamma = None
-    return {
-        "tau": tau_ibi(sp),
-        "gamma": gamma,
-        "r": sp.r,
-        "phi": sp.phi,
-        "u": sp.u,
-        "v": sp.v,
-        "a2": sides.a2,
-        "b2": sides.b2,
-        "c2": sides.c2,
-    }
-
-
 def _region_point_block(rp) -> dict:
     return {
         "u": rp.point.u,
@@ -268,7 +245,9 @@ def _region_point_block(rp) -> dict:
 def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
     """Run the full analysis; returns (report, {level-key: ConfidenceRegion})."""
     work = standardize(ds, config.standardize_mode)
-    observed = _shape_block(centroid_configuration(work))
+    observed, _ = _observed_triangle(work)
+    if math.isnan(observed["gamma"]):
+        observed["gamma"] = None
 
     ens = stratified_bootstrap(work, k=config.boot_k, seed=config.seed)
     cis = {"tau": {}, "gamma": {}}

@@ -256,7 +256,7 @@ def sample_null_shapes(p: int, n: int, rng: np.random.Generator) -> dict:
     if p < 2:
         raise ValueError("null sampling needs p >= 2")
     x = rng.normal(size=(n, 3, p))
-    stats = _centroid_shape_stats(x[:, 0], x[:, 1], x[:, 2])
+    stats = _centroid_shape_stats(x.transpose(1, 0, 2))
     u, v = stats["u"], stats["v"]
     phi = np.arctan2(v, u) % (2.0 * math.pi)
     return {"r": np.hypot(u, v), "phi": phi, "tau": stats["tau"], "u": u, "v": v}

@@ -22,6 +22,10 @@ The two systems are linked by the fixed linear map::
     c2 = (1 + u/2 - sqrt(3)/2 v) / 3
 
 All functions are pure; the value types are frozen dataclasses.
+
+The scalar functions are the paper's exposition and the tests' reference.
+The program's statistics come from the vectorized ``_centroid_shape_stats``;
+the SVD gives only the observed r, phi, u, v and tau the report prints.
 """
 
 from __future__ import annotations
@@ -356,14 +360,17 @@ def side_lengths(config: Configuration) -> SideLengths:
     return SideLengths(a2 / total, b2 / total, c2 / total)
 
 
-def _centroid_shape_stats(xa: np.ndarray, xb: np.ndarray, xc: np.ndarray) -> dict:
-    """Vectorized shape statistics for K centroid triangles ((K, p) each);
-    degenerate triangles hold NaN instead of raising."""
+def _centroid_shape_stats(means: np.ndarray) -> dict:
+    """Vectorized shape statistics for K centroid triangles, from the
+    (3, K, p) array of their A, B and C vertices; degenerate triangles
+    hold NaN instead of raising.  The sides and gamma have the bits of
+    ``side_lengths`` and ``cosine_ibi``."""
+    xa, xb, xc = means
     a2 = np.sum((xb - xc) ** 2, axis=1)
     b2 = np.sum((xa - xc) ** 2, axis=1)
     c2 = np.sum((xa - xb) ** 2, axis=1)
     total = a2 + b2 + c2
-    scale = 1.0 + np.max(np.abs(np.stack([xa, xb, xc])), axis=(0, 2))
+    scale = 1.0 + np.max(np.abs(means), axis=(0, 2))
     # coincident-centroid rule matching Configuration.is_degenerate:
     # centered Frobenius norm (= sqrt(total/3)) below _COINCIDENT_RTOL * scale
     degenerate = np.sqrt(np.maximum(total, 0.0) / 3.0) < _COINCIDENT_RTOL * scale

@@ -149,18 +149,3 @@ def svg_from_report(report: dict, regions: dict) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def glyph_count(svg: str) -> int:
-    """Number of triangle glyph groups in a rendered document (test aid)."""
-    return svg.count('<g id="glyph-')
-
-
-def is_well_formed_xml(svg: str) -> bool:
-    import xml.etree.ElementTree as ET
-
-    try:
-        ET.fromstring(svg)
-        return True
-    except ET.ParseError:
-        return False

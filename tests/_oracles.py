@@ -2,6 +2,7 @@
 intermediates, used only to check the library."""
 
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -89,7 +90,7 @@ def reference_bootstrap(ds, k, seed) -> dict:
         rng = stream_generator(seed, DOMAIN_BOOTSTRAP, j)
         for g, f in enumerate(feats):
             means[g, j] = f[rng.integers(0, len(f), size=len(f))].mean(axis=0)
-    return _centroid_shape_stats(means[0], means[1], means[2])
+    return _centroid_shape_stats(means)
 
 
 def reference_permutation_means(ds, k, seed) -> np.ndarray:
@@ -116,14 +117,29 @@ def permutation_means(ds, k, seed) -> np.ndarray:
     captured = []
     stats = inference._centroid_shape_stats
 
-    def spy(xa, xb, xc):
-        captured.append(np.stack([xa, xb, xc]))
-        return stats(xa, xb, xc)
+    def spy(means):
+        captured.append(means)
+        return stats(means)
 
     inference._centroid_shape_stats = spy
     try:
         inference.permutation_test(ds, k=k, seed=seed)
     finally:
         inference._centroid_shape_stats = stats
-    (means,) = captured
+    # the observed triangle's means come first, then the permutations'
+    observed, means = captured
+    assert observed.shape == (3, 1, ds.p)
     return means
+
+
+def glyph_count(svg: str) -> int:
+    """Number of triangle glyph groups in a rendered SVG document."""
+    return svg.count('<g id="glyph-')
+
+
+def is_well_formed_xml(svg: str) -> bool:
+    try:
+        ET.fromstring(svg)
+        return True
+    except ET.ParseError:
+        return False

@@ -36,7 +36,7 @@ from ibistat import GroupedDataset, inference, stratified_bootstrap  # noqa: E40
 CASES = 150
 PS = (1, 2, 3, 5, 16, 33)
 KS = (1, 61, 257)
-STATS = ("tau", "gamma", "u", "v", "a2", "b2", "c2")
+STATS = ("tau", "gamma", "u", "v")
 
 
 def case(i: int) -> dict:

@@ -29,7 +29,8 @@ from ibistat.report import (
     run_analysis,
 )
 from ibistat.sampling import sample_grouped_dataset
-from ibistat.svgplot import glyph_count, is_well_formed_xml, svg_from_report
+from ibistat.svgplot import svg_from_report
+from _oracles import glyph_count, is_well_formed_xml
 from conftest import IRIS_FEATURES, IRIS_GROUPS, iris_config
 
 
@@ -73,9 +74,9 @@ def test_load_csv_bad_cell_names_row(tmp_path):
     assert err.value.column == "x"
 
 
-def abc_config(path):
+def abc_config(path, features=()):
     groups = {"A": "a", "B": "b", "C": "c"}
-    return iris_config(input_path=path, group_column="g", group_order=groups)
+    return iris_config(features, input_path=path, group_column="g", group_order=groups)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -98,7 +99,8 @@ def test_load_csv_whole_file_pass_reads_the_bits_of_the_per_cell_pass():
     cols = [header.index(c) for c in IRIS_FEATURES]
     label_map = {v: k for k, v in IRIS_GROUPS.items()}
     labels, values = _parse_rows(rows, len(header), group, cols, label_map)
-    ref_labels, ref_values = _parse_rows_per_cell(rows, 2, header, group, cols, IRIS_FEATURES, cfg)
+    lines = range(2, 2 + len(rows))
+    ref_labels, ref_values = _parse_rows_per_cell(rows, lines, header, group, cols, IRIS_FEATURES, cfg)
     assert labels == ref_labels
     assert values.tobytes() == ref_values.tobytes()
     assert load_csv(path, cfg).features.tobytes() == ref_values.tobytes()
@@ -217,6 +219,27 @@ def test_load_csv_reader_error_comes_in_file_order(tmp_path, monkeypatch):
     path = abc_csv(tmp_path, 12, {6: "1,oops,c", 7: long_row})
     with pytest.raises(CsvParseError, match="^line 6, column 'y'"):
         load_csv(path, abc_config(path))
+
+
+# the quoted cell holding a newline makes the first row span lines 2 and 3
+SPANNING_CSV = 'x,note,g\n1,"a\nb",a\n2,ok,b\n3,ok,c\n{row}\n'
+
+
+# in blocks of 1 or 2 rows the bad row is in a later block than the
+# spanning one, in blocks of 50 in the same
+@pytest.mark.parametrize("rows", [1, 2, 50])
+@pytest.mark.parametrize("row, message", [
+    ("zz,ok,a", "line 6, column 'x': not a number: 'zz'"),
+    ("4,a", "line 6, column '': expected 3 fields, got 2"),
+])
+def test_load_csv_names_the_line_a_row_starts_on_after_a_spanning_cell(
+    tmp_path, monkeypatch, rows, row, message
+):
+    rows_per_block(monkeypatch, rows, 3)
+    path = write_csv(tmp_path / "spanning.csv", SPANNING_CSV.format(row=row))
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, abc_config(path, features=("x",)))
+    assert str(err.value) == message
 
 
 def test_load_csv_header_error_comes_before_any_row(tmp_path):
@@ -515,6 +538,20 @@ def test_analyze_missing_file_exit_code(tmp_path, capsys):
     ])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--input", "{dir}", "--group-col", "species", "--groups", "A=a,B=b,C=c"],
+    ["analyze", "--input", iris_csv_path(), "--group-col", "species",
+     "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "100", "--report", "{dir}"],
+    ["simulate", "--r", "0.5", "--phi", "1", "--p", "2", "--n", "20", "--sigma2", "1",
+     "--sims", "1", "--boot", "100", "--out", "{dir}"],
+], ids=["analyze-input", "analyze-report", "simulate-out"])
+def test_a_directory_path_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    code = main([arg.format(dir=tmp_path) for arg in command])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ibistat: error:") and str(tmp_path) in err
 
 
 def test_analyze_rejects_zero_threads():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import sys
 import threading
@@ -9,21 +10,28 @@ import pytest
 
 from ibistat import inference, sampling
 from ibistat import (
+    DegenerateConfigurationError,
     GroupedDataset,
     InsufficientDataError,
     InsufficientReplicatesError,
     SingularCovarianceError,
     centroid_configuration,
     confidence_region,
+    cosine_ibi,
     coverage_simulation,
     observed_ibi,
     percentile_ci,
     permutation_test,
     region_summary,
+    shape_point,
+    side_lengths,
     standardize,
     stratified_bootstrap,
     stream_generator,
+    tau_ibi,
 )
+from ibistat.inference import _observed_triangle
+from ibistat.report import run_analysis
 from ibistat.sampling import DOMAIN_BOOTSTRAP, DOMAIN_PERMUTATION
 from ibistat.shape import _centroid_shape_stats
 from _oracles import (
@@ -48,16 +56,16 @@ def make_dataset(rng, n=30, p=2, spread=1.0, offsets=None):
 # standardize
 
 
-def test_dataset_from_observations():
-    ds = GroupedDataset.from_observations(
-        [("A", [0.0, 1.0]), ("A", [1.0, 0.0]), ("B", [2.0, 2.0]),
-         ("B", [3.0, 3.0]), ("C", [5.0, 1.0]), ("C", [4.0, 0.0])],
+def test_dataset_constructor_checks_labels():
+    ds = GroupedDataset(
+        features=np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 3.0], [5.0, 1.0], [4.0, 0.0]]),
+        labels=np.array(list("AABBCC")),
         feature_names=("x", "y"),
     )
     assert ds.n == 6 and ds.p == 2
     np.testing.assert_array_equal(ds.group_indices("B"), [2, 3])
-    with pytest.raises(ValueError):
-        GroupedDataset.from_observations([("A", [0.0]), ("B", [1.0]), ("D", [2.0])])
+    with pytest.raises(ValueError, match=r"labels must be in \('A', 'B', 'C'\), got \['D'\]"):
+        GroupedDataset(features=np.arange(6.0).reshape(6, 1), labels=np.array(list("AABBCD")))
 
 
 def test_group_indices_are_read_only_rows_of_interleaved_labels():
@@ -134,9 +142,9 @@ def test_standardize_errors():
     with pytest.raises(ValueError):
         standardize(ds, "zscore")
     # finite values whose spread overflows: x's variance is infinite
-    huge = GroupedDataset.from_observations(
-        [("A", [1e308, 1.0]), ("A", [-1e308, 2.0]), ("B", [1.0, 3.0]),
-         ("B", [2.0, 1.0]), ("C", [3.0, 5.0]), ("C", [4.0, 2.0])],
+    huge = GroupedDataset(
+        features=np.array([[1e308, 1.0], [-1e308, 2.0], [1.0, 3.0], [2.0, 1.0], [3.0, 5.0], [4.0, 2.0]]),
+        labels=np.array(list("AABBCC")),
         feature_names=("x", "y"),
     )
     with pytest.raises(SingularCovarianceError, match=r"non-finite variance: \['x'\]"):
@@ -169,13 +177,62 @@ def test_observed_ibi_exact_midpoint_dataset():
     assert abs(pair.gamma - 1.0) <= 1e-9
 
 
-def test_observed_ibi_gamma_undefined_when_b_meets_a():
-    # means A = B = (1, 0), C = (6, 5): side c vanishes, so a2 = b2 = 1/2
+@pytest.mark.parametrize("labels", ["AABBCC", "CCBBAA"])
+def test_gamma_undefined_when_b_meets_a_or_c(labels):
+    # B's mean (1, 0) is that of the first two rows, so B meets A (side c
+    # vanishes) or C (side a does); the other two sides are equal, so
+    # tau = 3 b2 - 1 = 1/2
     feats = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0], [5.0, 5.0], [7.0, 5.0]])
-    ds = GroupedDataset(features=feats, labels=np.array(list("AABBCC")))
+    ds = GroupedDataset(features=feats, labels=np.array(list(labels)))
     pair = observed_ibi(ds, mode="none")
     assert math.isnan(pair.gamma)
     assert abs(pair.tau - 0.5) <= 1e-12
+    report, _ = run_analysis(iris_config(standardize_mode="none", boot_k=50, levels=()), ds)
+    assert report["observed"]["gamma"] is None
+    assert report["observed"]["tau"] == pair.tau
+
+
+IRIS_SUBSETS = [
+    subset for size in range(1, 5) for subset in itertools.combinations(range(4), size)
+]
+
+
+@pytest.mark.parametrize("mode", ["none", "feature", "whiten"])
+def test_observed_triangle_has_the_bits_of_the_scalar_reference(iris_ds, mode):
+    # every iris feature subset: the kernel's sides and gamma are those of
+    # side_lengths and cosine_ibi, and the SVD fields those of shape_point
+    for subset in IRIS_SUBSETS:
+        ds = standardize(GroupedDataset(
+            features=iris_ds.features[:, subset], labels=iris_ds.labels,
+        ), mode)
+        observed, stats = _observed_triangle(ds)
+        cfg = centroid_configuration(ds)
+        sides, sp = side_lengths(cfg), shape_point(cfg)
+        reference = {
+            "tau": tau_ibi(sp), "gamma": cosine_ibi(sides),
+            "r": sp.r, "phi": sp.phi, "u": sp.u, "v": sp.v,
+            "a2": sides.a2, "b2": sides.b2, "c2": sides.c2,
+        }
+        assert list(observed) == list(reference)
+        np.testing.assert_array_equal(list(observed.values()), list(reference.values()))
+        for name in ("a2", "b2", "c2", "gamma"):
+            np.testing.assert_array_equal(stats[name], [reference[name]], err_msg=name)
+
+
+def test_report_observed_block_is_the_observed_triangle(iris_ds):
+    report, _ = run_analysis(iris_config(boot_k=50, levels=()), iris_ds)
+    observed, _ = _observed_triangle(standardize(iris_ds, "feature"))
+    assert report["observed"] == observed
+
+
+def test_coincident_centroids_raise():
+    # every group's mean is (0.5, 0.5)
+    feats = np.array([[0.0, 0.0], [1.0, 1.0]] * 3)
+    ds = GroupedDataset(features=feats, labels=np.array(list("AABBCC")))
+    with pytest.raises(DegenerateConfigurationError):
+        observed_ibi(ds, mode="none")
+    with pytest.raises(DegenerateConfigurationError):
+        permutation_test(ds, k=20, seed=0)
 
 
 def test_observed_ibi_iris_sl_pw_standardized():
@@ -229,7 +286,7 @@ def test_bootstrap_identity_hook_matches_observed(iris_ds):
     # the bootstrap's vectorised kernel, fed the observed centroids,
     # agrees with the scalar SVD route of the report's observed block
     cfg = centroid_configuration(standardize(iris_ds, "feature"))
-    stats = _centroid_shape_stats(*(row[None, :] for row in cfg.landmarks))
+    stats = _centroid_shape_stats(cfg.landmarks[:, None])
     obs = observed_ibi(iris_ds, mode="feature")
     assert abs(stats["tau"][0] - obs.tau) <= 1e-12
     assert abs(stats["gamma"][0] - obs.gamma) <= 1e-12
@@ -303,7 +360,7 @@ def test_resampling_builds_one_generator_per_call(iris_ds, monkeypatch, k):
 
 
 def assert_ensemble_equals(ens, stats):
-    for name in ("tau", "gamma", "u", "v", "a2", "b2", "c2"):
+    for name in ("tau", "gamma", "u", "v"):
         np.testing.assert_array_equal(getattr(ens, name), stats[name])
 
 
@@ -520,9 +577,15 @@ def test_bootstrap_internal_consistency(iris_ds):
     ens = stratified_bootstrap(iris_ds, k=500, seed=1)
     valid = ens.valid_mask()
     assert valid.all()
-    np.testing.assert_allclose(ens.tau, 3.0 * ens.b2 - 1.0, atol=1e-9)
     assert np.all(ens.u**2 + ens.v**2 <= 1.0 + 1e-9)
-    np.testing.assert_allclose(ens.a2 + ens.b2 + ens.c2, 1.0, atol=1e-12)
+
+
+def test_centroid_shape_stats_identities(iris_ds):
+    # the kernel on 500 bootstrap replicates' group means
+    stats = reference_bootstrap(iris_ds, 500, 1)
+    np.testing.assert_allclose(stats["tau"], 3.0 * stats["b2"] - 1.0, atol=1e-9)
+    np.testing.assert_allclose(stats["a2"] + stats["b2"] + stats["c2"], 1.0, atol=1e-12)
+    np.testing.assert_allclose(stats["u"], 1.0 - 3.0 * stats["a2"], atol=1e-12)
 
 
 def test_bootstrap_rescaling_invariance_with_feature_mode(iris_ds):
@@ -646,7 +709,7 @@ def ensemble_of(points):
     u, v = np.asarray(points, dtype=float).T
     nan = np.full(u.size, np.nan)
     return inference.BootstrapEnsemble(
-        tau=u.copy(), gamma=nan, u=u, v=v, a2=nan, b2=nan, c2=nan, seed=0, k=u.size
+        tau=u.copy(), gamma=nan, u=u, v=v, seed=0
     )
 
 

@@ -7,13 +7,11 @@ from scipy import integrate
 from ibistat import (
     Configuration,
     DomainError,
-    NullDensityParams,
     ShapePoint,
     SideLengths,
     UndefinedCosineIBIError,
     cosine_ibi,
     distance_to_midpoint,
-    ibi_pair,
     null_density_polar,
     null_density_sides,
     null_density_uv,
@@ -231,18 +229,3 @@ def test_domain_errors():
         tau_null_cdf(-2.0, 3)
     with pytest.raises(DomainError):
         null_density_polar(0.5, 1)
-
-
-def test_null_density_params():
-    params = NullDensityParams.from_centroid_size(p=4, size=2.0, sigma2=0.5)
-    assert params.kappa == 2.0
-    with pytest.raises(ValueError):
-        NullDensityParams(p=1)
-    with pytest.raises(ValueError):
-        NullDensityParams(p=3, kappa=-0.5)
-
-
-def test_ibi_pair_handles_undefined_gamma():
-    pair = ibi_pair(SideLengths(0.0, 0.5, 0.5))
-    assert math.isnan(pair.gamma)
-    assert abs(pair.tau - 0.5) <= 1e-12

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -92,6 +93,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str) -> None:
+    """Raise OSError naming ``path`` unless a file could be written there:
+    it is no directory, and it or, if it does not exist, its directory
+    may be written.  Creates and truncates nothing, so a run that fails
+    leaves an existing file as it was."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_analyze(args) -> int:
     config = AnalysisConfig(
         input_path=args.input,
@@ -104,6 +122,9 @@ def _cmd_analyze(args) -> int:
         seed=args.seed,
         perm_k=args.perm,
     )
+    for path in (args.report, args.plot):
+        if path:
+            _check_output(path)
     ds = load_csv(config.input_path, config)
     report, regions = run_analysis(config, ds)
     text = dumps_report(report)
@@ -120,6 +141,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.out:
+        _check_output(args.out)
     result = coverage_simulation(
         r=args.r, phi=args.phi, p=args.p, n_per_group=args.n,
         sigma2=args.sigma2, n_sims=args.sims, k=args.boot,

@@ -252,7 +252,7 @@ _BLOCK_VALUES = 2**16
 
 
 def _replicate_values(n: int, p: int) -> int:
-    """Values one replicate holds in a chunk of ``_resampled_shape_stats``
+    """Values one replicate holds in a chunk of ``_resampled_means``
     with n observations of p features: its draw words, the temporaries
     drawing them and its index row, 3 n together, and one gathered row."""
     return 3 * n + p
@@ -266,10 +266,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _resampled_shape_stats(
+def _resampled_means(
     ds: GroupedDataset, feats: list, k: int, seed: int, domain: int, draw
-) -> dict:
-    """Shape statistics of K resampled centroid triangles.
+) -> np.ndarray:
+    """The (3, K, p) group means of K resampled centroid triangles.
 
     Replicate j owns the stream (seed, domain, j), keyed by row j of
     ``stream_keys``.  ``draw(rng, keys)`` takes one Philox generator and
@@ -281,16 +281,18 @@ def _resampled_shape_stats(
     same bits as a fresh generator per replicate.
 
     Per replicate a chunk holds ``_replicate_values(n, p)`` values, and
-    the chunks in flight together hold at most ``_CHUNK_VALUES``.  W
-    workers run at once: at most one per usable CPU (``_usable_cpus``),
-    per full-size chunk of the K replicates, and per replicate a
-    full-size chunk holds, so each of their chunks holds at least one
-    replicate.  The calling thread is worker 0 and a thread pool runs the
-    others; worker i takes chunks i, i + W, ... and writes only their
-    rows of the means.  The gather and the sums release the GIL, so the
-    workers overlap.  With one chunk no thread is started.  Each
-    replicate's means depend only on its own indices, so neither the
-    chunk size nor W changes a bit.
+    the chunks in flight together hold at most ``_CHUNK_VALUES``.  A
+    worker frees a chunk's indices, and every view into them, before it
+    draws the next, so it holds one chunk's indices and draw words plus
+    one gather block.  W workers run at once: at most one per usable
+    CPU (``_usable_cpus``), per full-size chunk of the K replicates, and
+    per replicate a full-size chunk holds, so each of their chunks holds
+    at least one replicate.  The calling thread is worker 0 and a thread
+    pool runs the others; worker i takes chunks i, i + W, ... and writes
+    only their rows of the means.  The gather and the sums release the
+    GIL, so the workers overlap.  With one chunk no thread is started.
+    Each replicate's means depend only on its own indices, so neither
+    the chunk size nor W changes a bit.
 
     Group g of a chunk of m replicates is summed over its n_g
     observations in row blocks: each block gathers the next R =
@@ -344,6 +346,7 @@ def _resampled_shape_stats(
                             block[0] += out  # carry the running sum
                         np.add.reduce(block, axis=0, out=out)
                 out /= sizes[g]
+            idx = cols = at = None  # free this chunk before the next draw
 
     if workers == 1:
         work(0)
@@ -357,7 +360,7 @@ def _resampled_shape_stats(
             work(0)
             for future in futures:
                 future.result()
-    return _centroid_shape_stats(means)
+    return means
 
 
 def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnsemble:
@@ -371,13 +374,13 @@ def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnse
     """
     if k < 1:
         raise ValueError("need at least one bootstrap replicate")
-    group_feats = [ds.group_features(g) for g in GROUPS]
-    sizes = [len(f) for f in group_feats]
+    feats = [ds.group_features(g) for g in GROUPS]
+    sizes = [len(f) for f in feats]
 
     def draw(rng, keys):
         return bootstrap_indices(rng, keys, sizes)
 
-    stats = _resampled_shape_stats(ds, group_feats, k, seed, DOMAIN_BOOTSTRAP, draw)
+    stats = _centroid_shape_stats(_resampled_means(ds, feats, k, seed, DOMAIN_BOOTSTRAP, draw))
     return BootstrapEnsemble(
         tau=stats["tau"], gamma=stats["gamma"], u=stats["u"], v=stats["v"],
         seed=int(seed),
@@ -632,7 +635,8 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
             g.shuffle(row)
         return idx
 
-    stats = _resampled_shape_stats(ds, [ds.features] * 3, k, seed, DOMAIN_PERMUTATION, draw)
+    means = _resampled_means(ds, [ds.features] * 3, k, seed, DOMAIN_PERMUTATION, draw)
+    stats = _centroid_shape_stats(means)
 
     def pvalue(perm_vals: np.ndarray, observed: float) -> float:
         exceed = ~np.isfinite(perm_vals)  # undefined counts as extreme

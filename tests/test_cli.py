@@ -554,6 +554,62 @@ def test_a_directory_path_is_an_error_not_a_traceback(tmp_path, capsys, command)
     assert err.startswith("ibistat: error:") and str(tmp_path) in err
 
 
+def never_reached(monkeypatch):
+    # the work each command would do, made to fail if it were started
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    monkeypatch.setattr("ibistat.cli.load_csv", fail)
+    monkeypatch.setattr("ibistat.report.stratified_bootstrap", fail)
+    monkeypatch.setattr("ibistat.cli.coverage_simulation", fail)
+
+
+ANALYZE_IRIS = ["analyze", "--input", iris_csv_path(), "--group-col", "species",
+                "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "20000"]
+SIMULATE = ["simulate", "--r", "0.5", "--phi", "1", "--p", "2", "--n", "20",
+            "--sigma2", "1", "--sims", "1", "--boot", "100"]
+
+
+@pytest.mark.parametrize("command, path", [
+    (ANALYZE_IRIS + ["--report", "{dir}"], "{dir}"),
+    (ANALYZE_IRIS + ["--plot", "{dir}"], "{dir}"),
+    (ANALYZE_IRIS + ["--report", "{dir}/missing/r.json"], "{dir}/missing/r.json"),
+    (ANALYZE_IRIS + ["--plot", "{dir}/missing/x.svg"], "{dir}/missing/x.svg"),
+    (SIMULATE + ["--out", "{dir}"], "{dir}"),
+    (SIMULATE + ["--out", "{dir}/missing/row.csv"], "{dir}/missing/row.csv"),
+], ids=["report-dir", "plot-dir", "report-missing-dir", "plot-missing-dir",
+        "out-dir", "out-missing-dir"])
+def test_output_paths_are_checked_before_the_work(tmp_path, capsys, monkeypatch, command, path):
+    never_reached(monkeypatch)
+    code = main([arg.format(dir=tmp_path) for arg in command])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ibistat: error:") and path.format(dir=tmp_path) in err
+
+
+def test_an_unwritable_output_path_is_an_error_before_the_work(tmp_path, capsys, monkeypatch):
+    # os.access decides, which grants root every file: deny it here
+    never_reached(monkeypatch)
+    monkeypatch.setattr("ibistat.cli.os.access", lambda path, mode: False)
+    report = tmp_path / "r.json"
+    assert main(ANALYZE_IRIS + ["--report", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Permission denied" in err and str(report) in err
+
+
+def test_a_failed_output_check_leaves_an_existing_report_untouched(tmp_path, capsys, monkeypatch):
+    never_reached(monkeypatch)
+    report = tmp_path / "r.json"
+    report.write_text("earlier run\n", encoding="utf-8")
+    plot = tmp_path / "missing" / "x.svg"
+    code = main(ANALYZE_IRIS + ["--report", str(report), "--plot", str(plot)])
+    assert code == 1
+    assert str(plot) in capsys.readouterr().err
+    assert report.read_text(encoding="utf-8") == "earlier run\n"
+    assert not plot.parent.exists()
+
+
 def test_analyze_rejects_zero_threads():
     with pytest.raises(SystemExit):
         main([

@@ -469,7 +469,7 @@ def test_resampling_worker_error_propagates(iris_ds, monkeypatch):
         return sampling.bootstrap_indices(rng, keys, sizes)
 
     with pytest.raises(RuntimeError, match="draw failed in a worker"):
-        inference._resampled_shape_stats(iris_ds, feats, 40, 1, DOMAIN_BOOTSTRAP, draw)
+        inference._resampled_means(iris_ds, feats, 40, 1, DOMAIN_BOOTSTRAP, draw)
 
 
 def test_resampling_more_workers_than_cores_with_fast_switching(monkeypatch):
@@ -544,33 +544,50 @@ def test_bootstrap_all_rows_redrawn_is_bit_identical(iris_ds, monkeypatch):
     assert_ensemble_equals(redone, vars(vectorised))
 
 
-def assert_memory_stays_bounded(monkeypatch, resample):
-    # 3 groups of 2000 rows and 8 features, on 1 and then 2 workers
+def assert_memory_stays_bounded(monkeypatch, resample, inputs, draw_values):
+    # 3 groups of 2000 rows and 8 features, on 1 and then 2 workers; a
+    # replicate's draw holds draw_values(n) values at its peak
     ds = make_dataset(np.random.default_rng(12), n=2000, p=8)
     calls = count_generators(monkeypatch)
-    peaks = []
     for workers in (1, 2):
         use_workers(monkeypatch, workers)
         tracemalloc.start()
         try:
             resample(ds, k=400, seed=0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # the whole (K, n, p) gather of one group alone would be 49 MiB
+        assert peak < 32 * 2**20
+        # each worker holds the draw of one chunk of step replicates and
+        # one gather block, beside the inputs; the slack for keys, means
+        # and statistics is half a chunk's index matrix, so a worker that
+        # still holds its previous chunk's indices while it draws the next
+        # goes over, and so do full-size chunks on two workers
+        step = inference._CHUNK_VALUES // workers // inference._replicate_values(ds.n, ds.p)
+        chunk = workers * step * 8
+        ceiling = (
+            inputs(ds)
+            + workers * inference._BLOCK_VALUES * 8
+            + chunk * draw_values(ds.n)
+            + chunk * ds.n // 2
+        )
+        assert peak < ceiling, (workers, peak / 2**20, ceiling / 2**20)
     assert len(calls) == 1 + 2
-    # the whole (K, n, p) gather of one group alone would be 49 MiB
-    assert peaks[1] < 32 * 2**20
-    # two workers share the bound on the values in flight, in half-size
-    # chunks, where full-size ones would double the peak
-    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_bootstrap_memory_stays_bounded(monkeypatch):
-    assert_memory_stays_bounded(monkeypatch, stratified_bootstrap)
+    # per-group copies of the features; words of two 32-bit draws each,
+    # and the 64-bit draws Lemire's rule makes of them
+    assert_memory_stays_bounded(
+        monkeypatch, stratified_bootstrap,
+        lambda ds: ds.features.nbytes, lambda n: (n + 1) // 2 + n,
+    )
 
 
 def test_permutation_memory_stays_bounded(monkeypatch):
-    assert_memory_stays_bounded(monkeypatch, permutation_test)
+    # the features themselves; one index row, shuffled in place
+    assert_memory_stays_bounded(monkeypatch, permutation_test, lambda ds: 0, lambda n: n)
 
 
 def test_bootstrap_internal_consistency(iris_ds):

@@ -26,8 +26,6 @@ from .inference import (
     BootstrapEnsemble,
     ConfidenceRegion,
     GroupedDataset,
-    RegionPoint,
-    RegionSummary,
     centroid_configuration,
     confidence_region,
     coverage_simulation,

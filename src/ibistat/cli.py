@@ -6,6 +6,7 @@ import argparse
 import errno
 import os
 import sys
+from itertools import combinations
 
 from ._version import __version__
 from .errors import IbistatError
@@ -21,8 +22,10 @@ def _parse_groups(raw: str) -> dict:
             raise argparse.ArgumentTypeError(
                 "groups must look like A=label1,B=label2,C=label3"
             )
-        key, value = part.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (s.strip() for s in part.split("=", 1))
+        if key in mapping:
+            raise argparse.ArgumentTypeError(f"groups assign {key} more than once")
+        mapping[key] = value
     if sorted(mapping) != ["A", "B", "C"]:
         raise argparse.ArgumentTypeError("groups must assign exactly A, B and C")
     return mapping
@@ -110,6 +113,13 @@ def _check_output(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """True if paths ``a`` and ``b`` name one file, existing or not."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_analyze(args) -> int:
     config = AnalysisConfig(
         input_path=args.input,
@@ -122,6 +132,10 @@ def _cmd_analyze(args) -> int:
         seed=args.seed,
         perm_k=args.perm,
     )
+    paths = [("--input", args.input), ("--report", args.report), ("--plot", args.plot)]
+    for (one, a), (other, b) in combinations([(o, p) for o, p in paths if p], 2):
+        if _same_file(a, b):
+            raise ValueError(f"{one} and {other} name the same file: {b}")
     for path in (args.report, args.plot):
         if path:
             _check_output(path)
@@ -140,9 +154,32 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+# the header of a ``simulate --out`` file: the keys of ``row`` below
+_OUT_HEADER = "n,sigma2,ci_coverage,ci_length,cr_coverage,cr_area"
+
+
+def _out_needs_header(path: str) -> bool:
+    """True if ``path`` is missing or empty; ValueError if its first line
+    is not ``_OUT_HEADER`` or its last line has no line break."""
+    if not os.path.exists(path):
+        return True
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first:
+            return True
+        fh.seek(-1, os.SEEK_END)
+        last = fh.read(1)
+    if first.rstrip(b"\r\n") != _OUT_HEADER.encode():
+        raise ValueError(f"{path} does not start with the header line {_OUT_HEADER}")
+    if last != b"\n":
+        raise ValueError(f"{path} does not end with a line break")
+    return False
+
+
 def _cmd_simulate(args) -> int:
     if args.out:
         _check_output(args.out)
+        header = _out_needs_header(args.out)
     result = coverage_simulation(
         r=args.r, phi=args.phi, p=args.p, n_per_group=args.n,
         sigma2=args.sigma2, n_sims=args.sims, k=args.boot,
@@ -158,13 +195,11 @@ def _cmd_simulate(args) -> int:
     }
     sys.stdout.write(dumps_report(row))
     if args.out:
-        header = ",".join(row)
         line = ",".join(format(v, ".17g") if isinstance(v, float) else str(v)
                         for v in row.values())
-        fresh = not os.path.exists(args.out)
         with open(args.out, "a", encoding="utf-8") as fh:
-            if fresh:
-                fh.write(header + "\n")
+            if header:
+                fh.write(_OUT_HEADER + "\n")
             fh.write(line + "\n")
     return 0
 

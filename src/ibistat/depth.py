@@ -41,9 +41,9 @@ Bounds.  A confidence region needs the exact depths of few points (see
 ``inference._RegionDepths``); two cheap tests settle the rest, both
 conservative with respect to the depths this kernel computes:
 
-- ``depth_upper_bounds``: a point's depth is at most its count in any
-  closed halfplane through it, here along 16 fixed directions.  Cloud
-  points whose projection lies within ``BOUND_MARGIN * s`` of the query's
+- ``depth_upper_bounds``: a cloud point's depth is at most its count in
+  any closed halfplane through it, here along 16 fixed directions.  Cloud
+  points whose projection lies within ``BOUND_MARGIN * s`` of its own
   (s the largest |coordinate|) count on both sides.
 - ``inside_by_margin``: depth regions are convex, so a point inside the
   hull of points of depth >= t has depth >= t.  A point counts as inside
@@ -152,31 +152,30 @@ def _scale(*arrays) -> float:
     return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
 
 
-def depth_upper_bounds(points, cloud) -> np.ndarray:
-    """Upper bound, in [0, 1], on the depth ``tukey_depths`` gives each row
-    of ``points`` (m x 2) against ``cloud`` (n x 2).
+def depth_upper_bounds(cloud) -> np.ndarray:
+    """Upper bound, in [0, 1], on the depth ``tukey_depths`` gives each
+    point q of ``cloud`` (n x 2) against the cloud itself.
 
     Along each of 16 directions d the bound counts the cloud points of
     either closed halfplane {c : (c - q) . d >= 0} and {c : (c - q) . d <= 0}
     and keeps the least count (the random Tukey depth of Cuesta-Albertos &
     Nieto-Reyes 2008, over fixed directions).  A point whose projection
-    lies within ``BOUND_MARGIN * s`` of the query's counts on both sides,
-    so rounding in the projections or in the kernel's angles can only
-    raise the bound.
+    lies within ``BOUND_MARGIN * s`` of q's counts on both sides, so
+    rounding in the projections or in the kernel's angles can only raise
+    the bound.
     """
-    points = np.asarray(points, dtype=float)
     cloud = np.asarray(cloud, dtype=float)
     n = cloud.shape[0]
-    margin = BOUND_MARGIN * _scale(points, cloud)
-    best = np.full(points.shape[0], n)
+    margin = BOUND_MARGIN * _scale(cloud)
+    best = np.full(n, n)
     for dx, dy in _DIRECTIONS:
-        col = np.sort(cloud[:, 0] * dx + cloud[:, 1] * dy)
-        q = points[:, 0] * dx + points[:, 1] * dy
-        # sorted keys make searchsorted two to three times faster
+        q = cloud[:, 0] * dx + cloud[:, 1] * dy
+        # the sorted projections are both the column searched and the
+        # queries, which searchsorted takes two to three times faster sorted
         order = np.argsort(q)
         q = q[order]
-        count = np.minimum(n - np.searchsorted(col, q - margin, "left"),
-                           np.searchsorted(col, q + margin, "right"))
+        count = np.minimum(n - np.searchsorted(q, q - margin, "left"),
+                           np.searchsorted(q, q + margin, "right"))
         best[order] = np.minimum(best[order], count)
     return best / n
 

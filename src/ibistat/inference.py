@@ -38,7 +38,6 @@ from .sampling import (
 from .shape import (
     Configuration,
     ShapePoint,
-    SideLengths,
     _centroid_shape_stats,
     shape_point,
     sides_from_shape,
@@ -49,8 +48,6 @@ __all__ = [
     "GroupedDataset",
     "BootstrapEnsemble",
     "ConfidenceRegion",
-    "RegionPoint",
-    "RegionSummary",
     "standardize",
     "centroid_configuration",
     "observed_ibi",
@@ -243,19 +240,20 @@ class BootstrapEnsemble:
 
 
 # Bound on the index and draw values the chunks of replicates in flight
-# hold together (4 MiB of int64 or uint64), so memory stays flat as K
+# hold together (2 MiB of int64 or uint64), so memory stays flat as K
 # grows.
-_CHUNK_VALUES = 2**19
+_CHUNK_VALUES = 2**18
 # Bound on the gathered feature values of one row block (512 KiB of
 # float64), so a block is reduced while it sits in a core's L2 cache.
 _BLOCK_VALUES = 2**16
 
 
 def _replicate_values(n: int, p: int) -> int:
-    """Values one replicate holds in a chunk of ``_resampled_means``
-    with n observations of p features: its draw words, the temporaries
-    drawing them and its index row, 3 n together, and one gathered row."""
-    return 3 * n + p
+    """Values one replicate of n observations of p features holds in a
+    chunk of ``_resampled_means`` at the peak of its draw: (n + 1) // 2
+    words of two 32-bit draws and the n 64-bit draws Lemire's rule makes
+    of them (a permutation: its n indices), and one gathered row."""
+    return (n + 1) // 2 + n + p
 
 
 def _usable_cpus() -> int:
@@ -436,7 +434,7 @@ class _RegionDepths:
 
     def __init__(self, cloud: np.ndarray):
         self.cloud = cloud
-        self.bound = depth_upper_bounds(cloud, cloud)
+        self.bound = depth_upper_bounds(cloud)
         self.depth = np.full(cloud.shape[0], np.nan)
 
     def _compute(self, idx: np.ndarray) -> None:
@@ -569,46 +567,22 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
     )
 
 
-@dataclass(frozen=True)
-class RegionPoint:
-    """One distinguished shape inside a confidence region."""
-
-    point: ShapePoint
-    sides: SideLengths
-    tau: float
-    replicate: int
-
-
-@dataclass(frozen=True)
-class RegionSummary:
-    """Median (deepest) and extreme-tau members of a confidence region."""
-
-    median: RegionPoint
-    max_tau: RegionPoint
-    min_tau: RegionPoint
-
-
-def _region_point(cr: ConfidenceRegion, pos: int) -> RegionPoint:
-    u, v = cr.member_points[pos]
-    sp = ShapePoint.from_rect(float(u), float(v))
-    return RegionPoint(
-        point=sp,
-        sides=sides_from_shape(sp),
-        tau=float(cr.member_taus[pos]),
-        replicate=int(cr.member_indices[pos]),
-    )
-
-
-def region_summary(cr: ConfidenceRegion) -> RegionSummary:
-    """Deepest member plus the members with extreme tau (ties: smallest
-    replicate index, which is the first occurrence)."""
+def region_summary(cr: ConfidenceRegion) -> dict:
+    """The report's records ``{u, v, tau, a2, b2, c2, replicate}`` of the
+    deepest member ("median") and the members with extreme tau ("max_tau",
+    "min_tau"; ties: the smallest replicate index, the first occurrence)."""
     if cr.member_points.shape[0] == 0:
         raise InsufficientReplicatesError("empty confidence region")
-    return RegionSummary(
-        median=_region_point(cr, cr.deepest),
-        max_tau=_region_point(cr, int(np.argmax(cr.member_taus))),
-        min_tau=_region_point(cr, int(np.argmin(cr.member_taus))),
-    )
+    taus = cr.member_taus
+    summary = {}
+    for name, pos in ("median", cr.deepest), ("max_tau", taus.argmax()), ("min_tau", taus.argmin()):
+        sp = ShapePoint.from_rect(*map(float, cr.member_points[pos]))
+        sides = sides_from_shape(sp)
+        summary[name] = {
+            "u": sp.u, "v": sp.v, "tau": float(taus[pos]), "a2": sides.a2, "b2": sides.b2,
+            "c2": sides.c2, "replicate": int(cr.member_indices[pos]),
+        }
+    return summary
 
 
 # ---------------------------------------------------------------------------

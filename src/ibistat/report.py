@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,20 +106,21 @@ def _read_rows(reader, count):
 
 def _parse_rows(rows, width, group_idx, col_idx, label_map):
     """The group labels and the (rows, features) values of ``rows``, by
-    one ``float`` pass over every feature cell and one finiteness check;
+    one cast of every feature cell to float and one finiteness check;
     None if any row has the wrong width, an unmapped label, or a cell
     that is not a finite number."""
     if any(len(row) != width for row in rows):
         return None
     try:
         labels = [label_map[row[group_idx]] for row in rows]
-        cells = (row[ci] for row in rows for ci in col_idx)
-        values = np.fromiter(map(float, cells), dtype=float, count=len(rows) * len(col_idx))
+        # the cast calls float() on each cell; one column's getter gives bare cells
+        cells = np.array(list(map(itemgetter(*col_idx), rows)), dtype=object)
+        values = cells.astype(float).reshape(len(rows), len(col_idx))
     except (KeyError, ValueError):
         return None
     if not np.isfinite(values).all():
         return None
-    return labels, values.reshape(len(rows), len(col_idx))
+    return labels, values
 
 
 def _parse_rows_per_cell(rows, lines, header, group_idx, col_idx, feature_cols, config):
@@ -164,6 +166,8 @@ def _header_columns(header, config):
     feature_cols = list(config.feature_columns) or [
         c for c in header if c != config.group_column
     ]
+    if not feature_cols:
+        raise CsvParseError(1, "", "no feature column")
     if config.group_column in feature_cols:
         raise CsvParseError(1, config.group_column, "group column cannot be a feature")
     missing = [c for c in feature_cols if c not in header]
@@ -230,18 +234,6 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
     )
 
 
-def _region_point_block(rp) -> dict:
-    return {
-        "u": rp.point.u,
-        "v": rp.point.v,
-        "tau": rp.tau,
-        "a2": rp.sides.a2,
-        "b2": rp.sides.b2,
-        "c2": rp.sides.c2,
-        "replicate": rp.replicate,
-    }
-
-
 def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
     """Run the full analysis; returns (report, {level-key: ConfidenceRegion})."""
     work = standardize(ds, config.standardize_mode)
@@ -265,15 +257,12 @@ def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
             cis["gamma"][key] = None
         cr = confidence_region(ens, level)
         region_objects[key] = cr
-        summary = region_summary(cr)
         regions[key] = {
             "level": level,
             "member_count": int(cr.member_points.shape[0]),
             "depth_threshold": cr.depth_threshold,
             "area": cr.area,
-            "median": _region_point_block(summary.median),
-            "max_tau": _region_point_block(summary.max_tau),
-            "min_tau": _region_point_block(summary.min_tau),
+            **region_summary(cr),
         }
 
     permutation = None

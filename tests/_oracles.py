@@ -74,7 +74,7 @@ def assert_region_matches_full_kernel(ens, levels) -> None:
         np.testing.assert_array_equal(cr.member_indices, valid[member], err_msg=f"level {level}")
         np.testing.assert_array_equal(cr.hull, hull, err_msg=f"level {level}")
         assert cr.area == area, (level, cr.area, area)
-        assert region_summary(cr).median.replicate == valid[np.argmax(depths)], level
+        assert region_summary(cr)["median"]["replicate"] == valid[np.argmax(depths)], level
 
 
 def reference_bootstrap(ds, k, seed) -> dict:

@@ -3,8 +3,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -74,6 +77,13 @@ def test_load_csv_bad_cell_names_row(tmp_path):
     assert err.value.column == "x"
 
 
+def write_values_csv(path, values):
+    # features x0, x1, ... and group column g, rows labelled a, b, c in turn
+    header = ",".join(f"x{j}" for j in range(values.shape[1])) + ",g\n"
+    lines = (",".join(map(repr, row)) + f",{'abc'[i % 3]}\n" for i, row in enumerate(values.tolist()))
+    return write_csv(path, header + "".join(lines))
+
+
 def abc_config(path, features=()):
     groups = {"A": "a", "B": "b", "C": "c"}
     return iris_config(features, input_path=path, group_column="g", group_order=groups)
@@ -107,9 +117,11 @@ def test_load_csv_whole_file_pass_reads_the_bits_of_the_per_cell_pass():
 
 
 def test_load_csv_reads_cells_as_python_float_does(tmp_path):
-    # underscores, padding, signed zero and a subnormal, as float() reads them
-    cells = ["1_000", " 2.5 ", "-0.0", "1e-320", "+3", "16.", "1E3", "\t-7\n"]
-    lines = "".join(f'"{cell}",{g}\n' for cell, g in zip(cells, "abcabcab"))
+    # underscores, padding, signed zero, a subnormal and Arabic-Indic
+    # digits, as float() reads them
+    cells = ["1_000", " 2.5 ", "-0.0", "1e-320", "+3", "16.", "1E3", "\t-7\n", " 1.5 ",
+             "\u0661\u0662"]
+    lines = "".join(f'"{cell}",{g}\n' for cell, g in zip(cells, "abcabcabca"))
     path = write_csv(tmp_path / "literals.csv", "x,g\n" + lines)
     values = load_csv(path, abc_config(path)).features[:, 0]
     assert values.tobytes() == np.array([float(c) for c in cells]).tobytes()
@@ -121,6 +133,10 @@ def test_load_csv_reads_cells_as_python_float_does(tmp_path):
     ("inf", "line 3, column 'y': non-finite value"),
     ("-Infinity", "line 3, column 'y': non-finite value"),
     ("1e999", "line 3, column 'y': non-finite value"),
+    ("1e400", "line 3, column 'y': non-finite value"),
+    ("0x10", "line 3, column 'y': not a number: '0x10'"),
+    ("", "line 3, column 'y': not a number: ''"),
+    ('"1,5"', "line 3, column 'y': not a number: '1,5'"),
 ])
 def test_load_csv_names_the_first_bad_cell(tmp_path, cell, message):
     # the bad cell comes before a row with an unknown label and one with
@@ -158,6 +174,12 @@ def test_load_csv_rejects_repeated_column_names(tmp_path):
     with pytest.raises(CsvParseError) as err:
         load_csv(plain, cfg)
     assert (err.value.line, err.value.column) == (1, "y")
+
+
+def test_load_csv_rejects_a_header_without_a_feature_column(tmp_path):
+    path = write_csv(tmp_path / "labels.csv", "g\na\nb\nc\na\nb\nc\n")
+    with pytest.raises(CsvParseError, match="^line 1, column '': no feature column$"):
+        load_csv(path, abc_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +316,7 @@ def test_load_csv_memory_stays_bounded(tmp_path, rows, features):
     # a long and a wide file; holding every cell as a string until the
     # whole file is parsed peaks at about 12 times the matrix
     values = np.random.default_rng(5).normal(size=(rows, features))
-    header = ",".join(f"x{j}" for j in range(features)) + ",g\n"
-    lines = (",".join(map(repr, row)) + f",{'abc'[i % 3]}\n" for i, row in enumerate(values.tolist()))
-    path = write_csv(tmp_path / "big.csv", header + "".join(lines))
+    path = write_values_csv(tmp_path / "big.csv", values)
     cfg = abc_config(path)
     tracemalloc.start()
     try:
@@ -396,6 +416,27 @@ def test_analyze_thread_count_invariance(tmp_path, monkeypatch):
     for workers in (1, 2):
         monkeypatch.setattr(inference, "_usable_cpus", lambda w=workers: w)
         assert run_analyze(tmp_path, f"w{workers}", "--perm", "200") == one_chunk
+
+
+def test_whiten_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # whiten's matrix products go through BLAS; at 1500 rows of 16
+    # features OpenBLAS splits the covariance product over two threads
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=(1500, 16)) @ rng.normal(size=(16, 16))
+    path = write_values_csv(tmp_path / "wide.csv", values)
+    src = str(Path(inference.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "ibistat.cli", "analyze", "--input", path, "--group-col", "g",
+             "--groups", "A=a,B=b,C=c", "--standardize", "whiten", "--boot", "100", "--seed", "3"],
+            env=env, capture_output=True, check=True,
+        )
+        reports.append(run.stdout)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config"]["standardize"] == "whiten"
 
 
 def test_analyze_feature_subset_and_modes(tmp_path):
@@ -610,6 +651,28 @@ def test_a_failed_output_check_leaves_an_existing_report_untouched(tmp_path, cap
     assert not plot.parent.exists()
 
 
+@pytest.mark.parametrize("report, plot", [
+    ("d.csv", ""), ("", "d.csv"), ("x.out", "x.out"), ("x.out", "./sub/../x.out"),
+    ("link.csv", ""), ("", "hard.csv"),
+], ids=["report-is-input", "plot-is-input", "report-is-plot", "report-is-plot-spelled-apart",
+        "report-links-to-input", "plot-hard-links-to-input"])
+def test_analyze_rejects_paths_that_name_one_file(tmp_path, capsys, monkeypatch, report, plot):
+    never_reached(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(iris_csv_path(), "d.csv")
+    os.symlink("d.csv", "link.csv")
+    os.link("d.csv", "hard.csv")
+    os.mkdir("sub")
+    args = ["analyze", "--input", "d.csv", "--group-col", "species",
+            "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "100"]
+    args += ["--report", report] * bool(report) + ["--plot", plot] * bool(plot)
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "name the same file" in err
+    assert Path("d.csv").read_bytes() == Path(iris_csv_path()).read_bytes()
+    assert sorted(os.listdir()) == ["d.csv", "hard.csv", "link.csv", "sub"]
+
+
 def test_analyze_rejects_zero_threads():
     with pytest.raises(SystemExit):
         main([
@@ -777,6 +840,16 @@ def test_analyze_rejects_bad_groups():
         ])
 
 
+def test_analyze_rejects_a_role_assigned_twice(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([
+            "analyze", "--input", iris_csv_path(), "--group-col", "species",
+            "--groups", "A=virginica,A=setosa,B=versicolor,C=virginica", "--boot", "100",
+        ])
+    assert exit_.value.code == 2
+    assert "groups assign A more than once" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate command
 
@@ -796,6 +869,32 @@ def test_simulate_single_run(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,sigma2,ci_coverage,ci_length,cr_coverage,cr_area"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b,c\n1,2,3\n", "does not start with the header line"),
+    ("n,sigma2,ci_coverage,ci_length,cr_coverage,cr_area\n20,1,1,0.5,1,0.6",
+     "does not end with a line break"),
+], ids=["another-header", "cut-last-line"])
+def test_simulate_out_rejects_a_file_it_cannot_append_to(tmp_path, capsys, monkeypatch,
+                                                         text, message):
+    never_reached(monkeypatch)
+    out = tmp_path / "other.csv"
+    out.write_text(text, encoding="utf-8")
+    assert main(SIMULATE + ["--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and message in err and str(out) in err
+    assert out.read_text(encoding="utf-8") == text
+
+
+def test_simulate_out_writes_the_header_into_an_empty_file(tmp_path, capsys):
+    out = tmp_path / "row.csv"
+    out.touch()
+    for _ in range(2):
+        assert main(SIMULATE + ["--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "n,sigma2,ci_coverage,ci_length,cr_coverage,cr_area"
+    assert len(lines) == 3 and lines[1] == lines[2] and lines[1].startswith("20,1,")
 
 
 def test_simulate_deterministic(capsys):

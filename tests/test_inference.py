@@ -1,9 +1,11 @@
 import concurrent.futures
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -851,14 +853,24 @@ def test_region_summary_extremes(iris_ds):
     ens = stratified_bootstrap(iris_ds, k=2000, seed=8)
     cr = confidence_region(ens, 0.95)
     summary = region_summary(cr)
-    assert summary.max_tau.tau >= 0.93
-    assert summary.min_tau.tau <= 0.88
-    assert summary.min_tau.tau <= summary.median.tau <= summary.max_tau.tau
+    assert summary["max_tau"]["tau"] >= 0.93
+    assert summary["min_tau"]["tau"] <= 0.88
+    assert summary["min_tau"]["tau"] <= summary["median"]["tau"] <= summary["max_tau"]["tau"]
     # summaries are region members
-    assert summary.median.replicate in cr.member_indices
+    assert summary["median"]["replicate"] in cr.member_indices
     # deepest point and tie-break by smallest replicate index
     first_best = np.flatnonzero(ens.valid_mask())[np.argmax(cloud_depths(ens))]
-    assert summary.median.replicate == first_best
+    assert summary["median"]["replicate"] == first_best
+
+
+def test_readme_library_use_block_runs(iris_ds):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {"X": iris_ds.features, "labels": iris_ds.labels}
+    exec(block, namespace)
+    assert list(namespace["summary"]) == ["median", "max_tau", "min_tau"]
+    for record in namespace["summary"].values():
+        assert list(record) == ["u", "v", "tau", "a2", "b2", "c2", "replicate"]
 
 
 def test_region_summary_single_member():
@@ -875,8 +887,8 @@ def test_region_summary_single_member():
         area=0.0,
     )
     summary = region_summary(cr)
-    assert summary.median.replicate == summary.max_tau.replicate == 4
-    assert summary.median.tau == summary.min_tau.tau
+    assert summary["median"]["replicate"] == summary["max_tau"]["replicate"] == 4
+    assert summary["median"]["tau"] == summary["min_tau"]["tau"]
 
 
 # ---------------------------------------------------------------------------

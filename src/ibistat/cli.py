@@ -41,6 +41,17 @@ def _parse_levels(raw: str) -> tuple:
     return levels
 
 
+def _parse_features(raw: str) -> tuple:
+    """The feature columns of ``raw``; () for "", which means every
+    non-group column.  An empty name in a list is an error, not skipped."""
+    if not raw:
+        return ()
+    names = tuple(raw.split(","))
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"empty column name in {raw!r}")
+    return names
+
+
 def _positive_int(raw: str) -> int:
     try:
         value = int(raw)
@@ -67,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mapping A=<label>,B=<label>,C=<label>; B is the candidate in-between group",
     )
     pa.add_argument(
-        "--features", default="",
+        "--features", default="", type=_parse_features,
         help="comma-separated feature columns (default: all non-group columns)",
     )
     pa.add_argument(
@@ -125,7 +136,7 @@ def _cmd_analyze(args) -> int:
         input_path=args.input,
         group_column=args.group_col,
         group_order=args.groups,
-        feature_columns=tuple(c for c in args.features.split(",") if c),
+        feature_columns=args.features,
         standardize_mode=args.standardize,
         boot_k=args.boot,
         levels=args.levels,

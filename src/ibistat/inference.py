@@ -8,9 +8,12 @@ regions in shape space.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +30,7 @@ from .sampling import (
     DOMAIN_BOOTSTRAP,
     DOMAIN_PERMUTATION,
     DOMAIN_SIMULATION,
+    MAX_STREAMS,
     GroupSpec,
     bootstrap_indices,
     mean_configuration_from_shape,
@@ -124,6 +128,78 @@ class GroupedDataset:
         return {g: r.size for g, r in self._rows.items()}
 
 
+# The (get, set) thread-count functions under the names OpenBLAS builds give them
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),  # numpy >= 2
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),  # scipy wheels
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),  # numpy 1.24-1.26
+    ("openblas_get_num_threads", "openblas_set_num_threads"),  # system OpenBLAS
+)
+
+# held while the thread counts are lowered: a second caller saving the 1
+# that the first one set would leave it set
+_BLAS_THREADS_LOCK = threading.RLock()
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of each OpenBLAS library the
+    process has loaded when first called; () where there is none (MKL,
+    Accelerate) or no ``/proc/self/maps`` to list them.  Opening a
+    library with ``RTLD_NOLOAD`` loads nothing new."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = dict.fromkeys(
+        f[5].rstrip("\n") for f in fields
+        if len(f) == 6 and "openblas" in os.path.basename(f[5])
+    )
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # no library the loader holds, e.g. deleted since
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _blas_on_calling_thread():
+    """Run the BLAS and LAPACK calls of the block on the calling thread.
+
+    After a call it split over threads, an OpenBLAS worker busy-waits for
+    work for 2^28 cycles (0.13 s at 2.1 GHz), taking a CPU from the
+    resampling that follows.
+    On entry each loaded OpenBLAS's thread count is saved and set to 1;
+    on exit it is restored.  The count is process-wide: while the block
+    runs, a BLAS call another thread makes also runs on one thread.  That
+    changes its speed, never its bits.  Without OpenBLAS this does
+    nothing.
+    """
+    controls = _openblas_thread_controls()
+    if not controls:
+        yield
+        return
+    with _BLAS_THREADS_LOCK:
+        saved = [get() for get, _ in controls]
+        try:
+            for _, set_ in controls:
+                set_(1)
+            yield
+        finally:
+            for (_, set_), count in zip(controls, saved):
+                set_(count)
+
+
 def standardize(ds: GroupedDataset, mode: str = "feature") -> GroupedDataset:
     """Rescale features: "none", "feature" (overall unit variance), or
     "whiten" (pooled within-group covariance mapped to identity).
@@ -149,17 +225,18 @@ def standardize(ds: GroupedDataset, mode: str = "feature") -> GroupedDataset:
         z = (x - x.mean(axis=0)) / sd
     elif mode == "whiten":
         feats = [ds.group_features(g) for g in GROUPS]
-        with np.errstate(over="ignore", invalid="ignore"):
-            resid = np.concatenate([f - f.mean(axis=0) for f in feats])
-            cov = resid.T @ resid / (ds.n - 3)
-            eigval, eigvec = np.linalg.eigh(cov)
-        # written so that NaN eigenvalues fail it
-        if not (eigval[0] > 0.0 and eigval[-1] / eigval[0] < 1e12):
-            raise SingularCovarianceError(
-                "pooled within-group covariance is singular or ill-conditioned"
-            )
-        w = eigvec @ np.diag(eigval ** -0.5) @ eigvec.T
-        z = (x - x.mean(axis=0)) @ w
+        with _blas_on_calling_thread():
+            with np.errstate(over="ignore", invalid="ignore"):
+                resid = np.concatenate([f - f.mean(axis=0) for f in feats])
+                cov = resid.T @ resid / (ds.n - 3)
+                eigval, eigvec = np.linalg.eigh(cov)
+            # written so that NaN eigenvalues fail it
+            if not (eigval[0] > 0.0 and eigval[-1] / eigval[0] < 1e12):
+                raise SingularCovarianceError(
+                    "pooled within-group covariance is singular or ill-conditioned"
+                )
+            w = eigvec @ np.diag(eigval ** -0.5) @ eigvec.T
+            z = (x - x.mean(axis=0)) @ w
     else:
         raise ValueError(f"unknown standardization mode {mode!r}")
     limit = math.sqrt(np.finfo(float).max / (12 * z.shape[1]))
@@ -655,6 +732,8 @@ def coverage_simulation(
     ):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    if k > MAX_STREAMS:
+        raise ValueError(f"k (--boot) must be at most 2**32, got {k}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level (--level) must lie in (0, 1), got {level}")
     if seed < 0:

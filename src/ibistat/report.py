@@ -35,6 +35,7 @@ from .inference import (
     standardize,
     stratified_bootstrap,
 )
+from .sampling import MAX_STREAMS
 
 REPORT_FORMAT = 1
 
@@ -66,6 +67,8 @@ class AnalysisConfig:
             raise ValueError("group_order must map to three distinct labels")
         if self.boot_k < 3:
             raise ValueError(f"boot_k (--boot) must be >= 3, got {self.boot_k}")
+        if self.boot_k > MAX_STREAMS:
+            raise ValueError(f"boot_k (--boot) must be at most 2**32, got {self.boot_k}")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
             raise ValueError("levels must lie in (0, 1)")
         keys = [_level_key(lv) for lv in self.levels]
@@ -76,6 +79,8 @@ class AnalysisConfig:
             )
         if self.perm_k < 0:
             raise ValueError(f"perm_k (--perm) must be >= 0, got {self.perm_k}")
+        if self.perm_k > MAX_STREAMS:
+            raise ValueError(f"perm_k (--perm) must be at most 2**32, got {self.perm_k}")
         if self.seed < 0:
             raise ValueError(f"seed (--seed) must be >= 0, got {self.seed}")
         if self.standardize_mode not in ("none", "feature", "whiten"):

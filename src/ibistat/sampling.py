@@ -41,6 +41,10 @@ DOMAIN_PERMUTATION = 1
 DOMAIN_SIMULATION = 2
 DOMAIN_NULL = 3
 
+# The most streams ``stream_keys`` can key in one domain, so the most
+# replicates or permutations one run can draw: j must fit in one word.
+MAX_STREAMS = 2**32
+
 
 def stream_generator(seed: int, *stream_id: int) -> np.random.Generator:
     """Independent generator for (seed, stream-id).
@@ -107,7 +111,7 @@ def stream_keys(seed: int, domain: int, k: int) -> np.ndarray:
     numpy's overflow or promotion rules.  j must fit in one word, hence
     k <= 2**32.
     """
-    if not 0 <= k <= 2**32:
+    if not 0 <= k <= MAX_STREAMS:
         raise ValueError(f"need 0 <= k <= 2**32 replicate streams, got {k}")
     seed, domain = int(seed), int(domain)
     pool = np.random.SeedSequence(seed, spawn_key=(domain,)).pool.tolist()

@@ -419,10 +419,13 @@ def test_analyze_thread_count_invariance(tmp_path, monkeypatch):
 
 
 def test_whiten_report_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # whiten's matrix products go through BLAS; at 1500 rows of 16
-    # features OpenBLAS splits the covariance product over two threads
+    # whiten's matrix products go through BLAS; at 4500 rows of 16
+    # features OpenBLAS would split (x - mean) @ w over two threads (it
+    # splits a product from 2^20 multiply-adds; at 1500 rows none of
+    # whiten's products reach that).  whiten runs them on the calling
+    # thread, and the report must not depend on the count either way
     rng = np.random.default_rng(17)
-    values = rng.normal(size=(1500, 16)) @ rng.normal(size=(16, 16))
+    values = rng.normal(size=(4500, 16)) @ rng.normal(size=(16, 16))
     path = write_values_csv(tmp_path / "wide.csv", values)
     src = str(Path(inference.__file__).parents[1])
     reports = []
@@ -717,6 +720,47 @@ def test_analyze_rejects_zero_boot(tmp_path, capsys, boot):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("ibistat: error:") and "(--boot) must be >= 3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "missing.csv", "--group-col", "species",
+     "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "200", "--perm", "4294967297"],
+    ["analyze", "--input", "missing.csv", "--group-col", "species",
+     "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "4294967297"],
+    ["simulate", "--r", "0.5", "--phi", "1.0", "--p", "2", "--n", "10", "--sigma2", "1.0",
+     "--sims", "1", "--boot", "4294967297"],
+], ids=["analyze-perm", "analyze-boot", "simulate-boot"])
+def test_counts_above_the_stream_limit_fail_before_any_work(capsys, monkeypatch, argv):
+    # one seed keys 2^32 streams per domain; a larger count is refused
+    # before the input is read or a replicate drawn
+    from ibistat import inference, report
+
+    def never(*args, **kwargs):
+        raise AssertionError("reached")
+
+    for module in (inference, report):
+        monkeypatch.setattr(module, "stratified_bootstrap", never)
+    monkeypatch.setattr("ibistat.cli.load_csv", never)
+    assert main(argv) == 1
+    option = argv[-2]
+    err = capsys.readouterr().err
+    assert err.startswith("ibistat: error:")
+    assert f"({option}) must be at most 2**32, got 4294967297" in err
+
+
+@pytest.mark.parametrize("features", ["petal_length,,sepal_width,", ",petal_length", "petal_length,"])
+def test_analyze_rejects_an_empty_feature_name(capsys, features):
+    with pytest.raises(SystemExit) as exit_:
+        main([
+            "analyze", "--input", iris_csv_path(), "--group-col", "species",
+            "--groups", "A=setosa,B=versicolor,C=virginica", "--features", features,
+        ])
+    assert exit_.value.code == 2
+    assert f"argument --features: empty column name in {features!r}" in capsys.readouterr().err
+
+
+def test_analyze_empty_features_means_every_column(tmp_path):
+    assert run_analyze(tmp_path, "all", "--features", "") == run_analyze(tmp_path, "default")
 
 
 def test_analyze_groups_of_size_two(tmp_path):

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -153,6 +154,87 @@ def test_standardize_errors():
         standardize(huge, "feature")
     with pytest.raises(SingularCovarianceError, match="ill-conditioned"):
         standardize(huge, "whiten")
+
+
+def wide_dataset(p, seed=34):
+    """6500 rows of p correlated features in groups of 3000, 2000 and
+    1500: at p = 16 OpenBLAS would split whiten's last product over
+    threads, at p = 64 its eigh as well."""
+    rng = np.random.default_rng(seed)
+    return GroupedDataset(
+        features=rng.normal(size=(6500, p)) @ rng.normal(size=(p, p)),
+        labels=np.repeat(np.array(["A", "B", "C"]), [3000, 2000, 1500]),
+    )
+
+
+def cpu_while_idle() -> float:
+    """CPU seconds this process burns over a 0.25 s sleep."""
+    start = time.process_time()
+    time.sleep(0.25)
+    return time.process_time() - start
+
+
+def test_whiten_leaves_no_blas_worker_spinning():
+    ds = wide_dataset(16)
+    x = ds.features
+    w = np.random.default_rng(35).normal(size=(16, 16))
+    time.sleep(0.3)  # let any earlier BLAS worker go back to sleep
+    _ = (x - x.mean(axis=0)) @ w
+    control = cpu_while_idle()
+    if control < 0.05:
+        pytest.skip(f"a plain product left {control:.3f} s of CPU: one CPU, "
+                    "or a BLAS whose workers do not spin")
+    time.sleep(0.3)
+    standardize(ds, "whiten")
+    assert cpu_while_idle() < 0.02
+
+
+def whiten_outside_context(ds):
+    """whiten's steps, run at the BLAS's own thread count."""
+    resid = np.concatenate(
+        [ds.group_features(g) - ds.group_features(g).mean(axis=0) for g in "ABC"]
+    )
+    eigval, eigvec = np.linalg.eigh(resid.T @ resid / (ds.n - 3))
+    w = eigvec @ np.diag(eigval ** -0.5) @ eigvec.T
+    return (ds.features - ds.features.mean(axis=0)) @ w
+
+
+@pytest.mark.parametrize("p", [16, 64])
+def test_whiten_on_the_calling_thread_keeps_the_bits(p):
+    ds = wide_dataset(p)
+    np.testing.assert_array_equal(standardize(ds, "whiten").features, whiten_outside_context(ds))
+
+
+def test_whiten_restores_the_blas_thread_counts():
+    controls = inference._openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    standardize(wide_dataset(16), "whiten")
+    assert [get() for get, _ in controls] == before
+    dup = GroupedDataset(features=np.ones((6, 2)) * np.arange(6.0)[:, None],
+                         labels=np.array(list("AABBCC")))
+    with pytest.raises(SingularCovarianceError):
+        standardize(dup, "whiten")
+    assert [get() for get, _ in controls] == before
+
+
+def numpy_names_openblas() -> bool:
+    """True if numpy's build configuration names OpenBLAS as its BLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26: the distutils-era *_info dicts
+        infos = [v for k, v in vars(np.__config__).items() if k.endswith("_info")]
+        return any("openblas" in lib for info in infos if isinstance(info, dict)
+                   for lib in info.get("libraries", []))
+    return "openblas" in blas.get("name", "").lower()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="lists libraries in /proc")
+def test_openblas_thread_controls_are_found():
+    # a renamed thread-count symbol must fail here, not silently leave
+    # whiten's BLAS threaded
+    if not numpy_names_openblas():
+        pytest.skip("numpy is not built on OpenBLAS")
+    assert inference._openblas_thread_controls()
 
 
 # ---------------------------------------------------------------------------

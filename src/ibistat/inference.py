@@ -490,8 +490,6 @@ def percentile_ci(values, level: float) -> tuple:
 # exact depths, a narrower shell too few hull vertices, a wider one more
 # points in the shell.
 _SHELL = 0.1
-# Candidates for the deepest point taken per exact pass, by upper bound.
-_DEEPEST_BATCH = 8
 
 
 class _RegionDepths:
@@ -521,28 +519,27 @@ class _RegionDepths:
 
     def region(self, count: int) -> tuple:
         """The c-th largest depth t, for c = ``count``, and the mask of
-        points with depth >= t.
+        points with depth >= t; ``region(1)`` gives the largest depth and
+        the deepest points.
 
         With M unknown points above the shell, all certified >= t, and
         every other unknown point certified < t, the c-th largest depth
-        is the (c - M)-th largest computed one.
+        is the (c - M)-th largest computed one.  At least c points have a
+        bound >= the shell's centre, and each lies in the shell (computed)
+        or above it (computed or among the M), so c - M never exceeds the
+        computed count.
         """
         bound, depth = self.bound, self.depth
         n = bound.size
         start = np.sort(bound)[n - count]  # >= the threshold
         width = _SHELL / math.sqrt(n)
         lo, hi = start - width, start + width
-        step = width
         while True:
             self._compute(np.flatnonzero((lo <= bound) & (bound <= hi)))
             known = ~np.isnan(depth)
             above = np.flatnonzero(~known & (bound > hi))
             computed = depth[known]
             need = count - above.size
-            if need > computed.size:  # t lies below the shell: widen it down
-                lo -= step
-                step *= 2
-                continue
             t = np.sort(computed)[computed.size - need]
             # every unknown point below the shell must have a bound < t
             if t < lo and np.any(~known & (bound >= t) & (bound < lo)):
@@ -559,18 +556,6 @@ class _RegionDepths:
             member = depth >= t
             member[above] = True
             return float(t), member
-
-    def deepest(self) -> int:
-        """Index of the deepest point, the first one on ties."""
-        bound, depth = self.bound, self.depth
-        best = np.max(depth, initial=0.0, where=~np.isnan(depth))
-        while True:
-            todo = np.flatnonzero(np.isnan(depth) & (bound >= best))
-            if not todo.size:
-                return int(np.flatnonzero(depth == best)[0])
-            todo = todo[np.argsort(-bound[todo])[:_DEEPEST_BATCH]]
-            self._compute(todo)
-            best = max(best, depth[todo].max())
 
 
 @dataclass(frozen=True)
@@ -638,7 +623,7 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
         member_indices=valid[member],
         member_points=points,
         member_taus=ens.tau[valid[member]],
-        deepest=int(np.count_nonzero(member[: depths.deepest()])),
+        deepest=int(np.count_nonzero(member[: np.argmax(depths.region(1)[1])])),
         hull=hull,
         area=area,
     )

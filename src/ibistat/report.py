@@ -61,6 +61,14 @@ class AnalysisConfig:
     perm_k: int = 0
 
     def __post_init__(self):
+        # the report echoes the path as UTF-8 text; a name with bytes that
+        # are not UTF-8 (surrogate escapes in a str) has no such text
+        try:
+            str(self.input_path).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(
+                f"input_path (--input) is not valid UTF-8: {self.input_path!r}"
+            ) from None
         if sorted(self.group_order) != sorted(GROUPS):
             raise ValueError("group_order must map exactly A, B and C")
         if len(set(self.group_order.values())) != 3:

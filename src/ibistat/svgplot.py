@@ -98,10 +98,9 @@ def svg_from_report(report: dict, regions: dict) -> str:
     level_keys = sorted(blocks, key=lambda k: -blocks[k]["level"])
     for i, key in enumerate(level_keys):
         color = _LEVEL_COLORS[min(i, len(_LEVEL_COLORS) - 1)]
-        # the operations of _to_canvas, on all members at once; "%.3f"
-        # formats as _fmt does
         pts = regions[key].member_points
-        xy = np.column_stack([_CX + _R * pts[:, 0], _CY - _R * pts[:, 1]])
+        xy = np.column_stack(_to_canvas(pts[:, 0], pts[:, 1]))
+        # "%.3f" formats as _fmt does
         dot = f'<circle cx="%.3f" cy="%.3f" r="1.4" fill="{color}" fill-opacity="0.55"/>'
         dots = dot * len(xy) % tuple(xy.ravel().tolist())
         parts.append(f'<g id="region-{key}">{dots}</g>')

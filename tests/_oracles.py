@@ -60,11 +60,17 @@ def cloud_depths(ens) -> np.ndarray:
 def assert_region_matches_full_kernel(ens, levels) -> None:
     """The region of ``ens`` at each of ``levels`` is the one the depths
     of every valid point (``cloud_depths``) give: same threshold bits,
-    members, hull, area and deepest replicate (the first on ties)."""
-    from ibistat.inference import _hull_and_area, confidence_region, region_summary
+    members, hull, area and deepest replicate (the first on ties).  The
+    count-1 search that finds the deepest point is checked on its own
+    depths as well as after the levels' searches on the ensemble's."""
+    from ibistat.inference import (
+        _hull_and_area, _RegionDepths, confidence_region, region_summary,
+    )
 
     valid = np.flatnonzero(ens.valid_mask())
     depths = cloud_depths(ens)
+    alone = _RegionDepths(ens.valid_cloud()).region(1)[1]
+    assert np.argmax(alone) == np.argmax(depths)
     for level in levels:
         cr = confidence_region(ens, level)
         threshold = float(np.sort(depths)[valid.size - math.ceil(level * valid.size)])

@@ -748,6 +748,26 @@ def test_counts_above_the_stream_limit_fail_before_any_work(capsys, monkeypatch,
     assert f"({option}) must be at most 2**32, got 4294967297" in err
 
 
+def test_input_name_that_is_not_utf8_fails_before_the_report_is_touched(tmp_path, capsys, monkeypatch):
+    # the report echoes --input as UTF-8 text; a name holding the byte 0xFF
+    # arrives as a surrogate escape, which has none, so the run stops
+    # before reading anything and leaves an existing report as it was
+    def never(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr("ibistat.cli.load_csv", never)
+    report = tmp_path / "rep.json"
+    report.write_bytes(b'{"kept": true}\n')
+    name = os.fsdecode(b"in\xff.csv")
+    assert main([
+        "analyze", "--input", name, "--group-col", "species",
+        "--groups", "A=setosa,B=versicolor,C=virginica", "--report", str(report),
+    ]) == 1
+    assert report.read_bytes() == b'{"kept": true}\n'
+    err = capsys.readouterr().err
+    assert err.startswith("ibistat: error:") and "(--input) is not valid UTF-8" in err
+
+
 @pytest.mark.parametrize("features", ["petal_length,,sepal_width,", ",petal_length", "petal_length,"])
 def test_analyze_rejects_an_empty_feature_name(capsys, features):
     with pytest.raises(SystemExit) as exit_:

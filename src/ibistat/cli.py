@@ -196,14 +196,7 @@ def _cmd_simulate(args) -> int:
         sigma2=args.sigma2, n_sims=args.sims, k=args.boot,
         seed=args.seed, level=args.level,
     )
-    row = {
-        "n": args.n,
-        "sigma2": args.sigma2,
-        "ci_coverage": result["ci_coverage"],
-        "ci_length": result["ci_length"],
-        "cr_coverage": result["cr_coverage"],
-        "cr_area": result["cr_area"],
-    }
+    row = {"n": args.n, "sigma2": args.sigma2, **result}
     sys.stdout.write(dumps_report(row))
     if args.out:
         line = ",".join(format(v, ".17g") if isinstance(v, float) else str(v)

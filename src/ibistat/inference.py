@@ -131,73 +131,61 @@ class GroupedDataset:
 # The (get, set) thread-count functions under the names OpenBLAS builds give them
 _OPENBLAS_THREAD_FUNCTIONS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),  # numpy >= 2
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),  # scipy wheels
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),  # numpy >= 2, 32-bit
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),  # numpy 1.24-1.26
     ("openblas_get_num_threads", "openblas_set_num_threads"),  # system OpenBLAS
 )
 
-# held while the thread counts are lowered: a second caller saving the 1
+# held while the thread count is lowered: a second caller saving the 1
 # that the first one set would leave it set
 _BLAS_THREADS_LOCK = threading.RLock()
 
 
 @functools.cache
-def _openblas_thread_controls() -> tuple:
-    """The (get, set) thread-count functions of each OpenBLAS library the
-    process has loaded when first called; () where there is none (MKL,
-    Accelerate) or no ``/proc/self/maps`` to list them.  Opening a
-    library with ``RTLD_NOLOAD`` loads nothing new."""
+def _openblas_thread_control():
+    """The (get, set) thread-count functions of the OpenBLAS behind
+    numpy's matrix products and ``eigh``; None where numpy links another
+    BLAS (MKL, Accelerate) or the loader has no ``RTLD_NOLOAD`` (Windows).
+    A symbol looked up in numpy's linear-algebra extension is also looked
+    up in the libraries it links; ``RTLD_NOLOAD`` loads nothing new."""
     try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return ()
-    paths = dict.fromkeys(
-        f[5].rstrip("\n") for f in fields
-        if len(f) == 6 and "openblas" in os.path.basename(f[5])
-    )
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:  # no library the loader holds, e.g. deleted since
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 @contextlib.contextmanager
 def _blas_on_calling_thread():
-    """Run the BLAS and LAPACK calls of the block on the calling thread.
+    """Run numpy's BLAS and LAPACK calls of the block on the calling thread.
 
     After a call it split over threads, an OpenBLAS worker busy-waits for
     work for 2^28 cycles (0.13 s at 2.1 GHz), taking a CPU from the
     resampling that follows.
-    On entry each loaded OpenBLAS's thread count is saved and set to 1;
-    on exit it is restored.  The count is process-wide: while the block
-    runs, a BLAS call another thread makes also runs on one thread.  That
-    changes its speed, never its bits.  Without OpenBLAS this does
-    nothing.
+    On entry numpy's OpenBLAS thread count is saved and set to 1; on exit
+    it is restored.  The count is process-wide: while the block runs, a
+    numpy BLAS call another thread makes also runs on one thread.  That
+    changes its speed, never its bits.  Any other BLAS library, such as
+    scipy's, is left alone.  Without OpenBLAS this does nothing.
     """
-    controls = _openblas_thread_controls()
-    if not controls:
+    control = _openblas_thread_control()
+    if control is None:
         yield
         return
+    get, set_ = control
     with _BLAS_THREADS_LOCK:
-        saved = [get() for get, _ in controls]
+        saved = get()
+        set_(1)
         try:
-            for _, set_ in controls:
-                set_(1)
             yield
         finally:
-            for (_, set_), count in zip(controls, saved):
-                set_(count)
+            set_(saved)
 
 
 def standardize(ds: GroupedDataset, mode: str = "feature") -> GroupedDataset:

@@ -102,11 +102,24 @@ class AnalysisConfig:
 _BLOCK_CELLS = 2**14
 
 
-def _read_rows(reader, count):
-    """Up to ``count`` rows of ``reader``, the file line each starts on
-    (then the line after them; a quoted newline makes a row span lines),
-    and the CsvParseError of the row that stopped it early (None if none
-    did)."""
+def _first_undecodable_line(path):
+    """The first line of ``path`` that is not UTF-8, counting lines as the
+    text layer does (a lone carriage return ends one too); line 1 may
+    start with a byte-order mark."""
+    with open(path, "rb") as fh:
+        lines = (part for raw in fh for part in raw.splitlines())
+        for line, part in enumerate(lines, 1):
+            try:
+                part.decode("utf-8-sig" if line == 1 else "utf-8")
+            except UnicodeDecodeError:
+                return line
+
+
+def _read_rows(reader, count, path):
+    """Up to ``count`` rows of ``reader`` over the file ``path``, the file
+    line each starts on (then the line after them; a quoted newline makes
+    a row span lines), and the CsvParseError of the row that stopped it
+    early (None if none did)."""
     rows, lines = [], [reader.line_num + 1]
     try:
         for row in islice(reader, count):
@@ -114,6 +127,8 @@ def _read_rows(reader, count):
             lines.append(reader.line_num + 1)
     except csv.Error as exc:
         return rows, lines, CsvParseError(reader.line_num, "", str(exc))
+    except UnicodeDecodeError:  # its position is within the chunk being decoded
+        return rows, lines, CsvParseError(_first_undecodable_line(path), "", "not UTF-8 text")
     return rows, lines, None
 
 
@@ -199,14 +214,14 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
     about ``_BLOCK_CELLS`` cells (at least one row), so the loader holds
     the feature matrix plus one block of cells. The first malformed row
     or cell in file order raises CsvParseError carrying its 1-based file
-    line, as does a row the CSV reader cannot split; group labels must be
-    covered by the configured A/B/C mapping.
+    line, as does a row the CSV reader cannot split or a line that is not
+    UTF-8; group labels must be covered by the configured A/B/C mapping.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        first, _, error = _read_rows(reader, 1)
+        first, _, error = _read_rows(reader, 1, path)
         if error is not None:
             raise error
         if not first:
@@ -218,7 +233,7 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
         block_rows = max(1, _BLOCK_CELLS // len(header))
         labels, blocks = [], []
         while True:
-            rows, lines, error = _read_rows(reader, block_rows)
+            rows, lines, error = _read_rows(reader, block_rows, path)
             # the per-cell pass reads the same values, and names the first bad cell
             block_labels, block_values = _parse_rows(
                 rows, len(header), group_idx, col_idx, label_map

@@ -281,6 +281,33 @@ def test_analyze_reports_a_row_the_csv_reader_cannot_split(tmp_path, capsys):
     )
 
 
+def test_analyze_names_the_line_that_is_not_utf8(tmp_path, capsys):
+    # the byte lies past 16 KiB: the decoder's own position counts from
+    # the start of the 8 KiB chunk it was decoding, not of the file
+    lines = [b"x,y,g\n"] + [f"{i % 97 / 10},{i % 89 / 10},{'abc'[i % 3]}\n".encode()
+                            for i in range(3000)]
+    lines[2000] = lines[2000].replace(b",b", b",\xe9")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"".join(lines))
+    assert len(lines) == 3001 and sum(map(len, lines[:2000])) > 2 * 8192
+    code = main(["analyze", "--input", str(path), "--group-col", "g", "--groups", "A=a,B=b,C=c"])
+    assert code == 1
+    assert capsys.readouterr().err == "ibistat: error: line 2001, column '': not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"x\xff,g\n1,a\n", 1),
+    (b"\xef\xbb\xbfx,g\n1,a\n2,\xe9\n", 3),  # a byte-order mark is no error
+    (b"x,g\r\n1,a\r\n2,\xe9\r\n", 3),
+    (b"x,g\r1,a\r2,\xe9\r", 3),  # a lone carriage return ends a line
+], ids=["header", "bom", "crlf", "cr"])
+def test_load_csv_names_the_first_line_that_is_not_utf8(tmp_path, data, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(CsvParseError, match=f"^line {line}, column '': not UTF-8 text$"):
+        load_csv(str(path), abc_config(str(path)))
+
+
 QUOTED_CSV = (
     'x,note,y,g\n'
     '"1.5","one, two",2,a\n'

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import os
 import re
 import sys
 import threading
@@ -206,15 +207,34 @@ def test_whiten_on_the_calling_thread_keeps_the_bits(p):
 
 
 def test_whiten_restores_the_blas_thread_counts():
-    controls = inference._openblas_thread_controls()
-    before = [get() for get, _ in controls]
+    control = inference._openblas_thread_control()
+    if control is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS")
+    get, _ = control
+    before = get()
+    with inference._blas_on_calling_thread():
+        assert get() == 1
     standardize(wide_dataset(16), "whiten")
-    assert [get() for get, _ in controls] == before
+    assert get() == before
     dup = GroupedDataset(features=np.ones((6, 2)) * np.arange(6.0)[:, None],
                          labels=np.array(list("AABBCC")))
     with pytest.raises(SingularCovarianceError):
         standardize(dup, "whiten")
-    assert [get() for get, _ in controls] == before
+    assert get() == before
+
+
+def test_whiten_without_rtld_noload_keeps_the_bits(monkeypatch):
+    # Windows has no RTLD_NOLOAD: the lookup finds nothing and whiten
+    # runs at the BLAS's own thread count
+    ds = wide_dataset(16)
+    inference._openblas_thread_control.cache_clear()
+    monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
+    try:
+        assert inference._openblas_thread_control() is None
+        np.testing.assert_array_equal(standardize(ds, "whiten").features, whiten_outside_context(ds))
+    finally:
+        monkeypatch.undo()
+        inference._openblas_thread_control.cache_clear()
 
 
 def numpy_names_openblas() -> bool:
@@ -228,13 +248,12 @@ def numpy_names_openblas() -> bool:
     return "openblas" in blas.get("name", "").lower()
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="lists libraries in /proc")
-def test_openblas_thread_controls_are_found():
+def test_openblas_thread_control_is_found():
     # a renamed thread-count symbol must fail here, not silently leave
     # whiten's BLAS threaded
     if not numpy_names_openblas():
         pytest.skip("numpy is not built on OpenBLAS")
-    assert inference._openblas_thread_controls()
+    assert inference._openblas_thread_control() is not None
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,11 @@ from .sampling import (
     stream_keys,
 )
 from .shape import (
+    _COINCIDENT_RTOL,
     Configuration,
     ShapePoint,
     _centroid_shape_stats,
+    _squared_sides,
     shape_point,
     sides_from_shape,
 )
@@ -330,18 +332,23 @@ def _usable_cpus() -> int:
 
 
 def _resampled_means(
-    ds: GroupedDataset, feats: list, k: int, seed: int, domain: int, draw
+    ds: GroupedDataset, feats: list, keys: np.ndarray, seed: int, domain: int, draw,
+    skip: int | None = None,
 ) -> np.ndarray:
-    """The (3, K, p) group means of K resampled centroid triangles.
+    """The (3, K, p) group means of the K resampled centroid triangles
+    keyed by the K rows of ``keys``.
 
     Replicate j owns the stream (seed, domain, j), keyed by row j of
-    ``stream_keys``.  ``draw(rng, keys)`` takes one Philox generator and
+    ``stream_keys``; ``keys`` may hold any of those rows, in any order.
+    ``draw(rng, keys)`` takes one Philox generator and
     the key rows of a chunk of m replicates, and returns an (m, N) index
     matrix whose columns hold group A's indices into ``feats[0]``, then
     B's into ``feats[1]``, then C's into ``feats[2]``.  Each worker
     builds one generator with ``stream_generator`` for replicate 0 and
     re-keys it for every replicate (``rekeyed_streams``), which gives the
-    same bits as a fresh generator per replicate.
+    same bits as a fresh generator per replicate.  Group ``skip``, if
+    given, is not gathered or summed, and its rows of the means are left
+    unset.
 
     Per replicate a chunk holds ``_replicate_values(n, p)`` values, and
     the chunks in flight together hold at most ``_CHUNK_VALUES``.  A
@@ -374,7 +381,7 @@ def _resampled_means(
     column, so blocks would change the low bits.  That gather holds at
     most n values per replicate, within its count.
     """
-    keys = stream_keys(seed, domain, k)
+    k = len(keys)
     sizes = list(ds.n_per_group().values())
     ends = np.cumsum([0] + sizes)
     per_replicate = _replicate_values(ds.n, ds.p)
@@ -392,6 +399,8 @@ def _resampled_means(
             idx = draw(rng, keys[lo : lo + step])
             rows = max(1, _BLOCK_VALUES // (idx.shape[0] * ds.p))
             for g in range(3):
+                if g == skip:
+                    continue
                 out = means[g, lo : lo + step]
                 cols = idx[:, ends[g] : ends[g + 1]]
                 if ds.p == 1:
@@ -443,7 +452,8 @@ def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnse
     def draw(rng, keys):
         return bootstrap_indices(rng, keys, sizes)
 
-    stats = _centroid_shape_stats(_resampled_means(ds, feats, k, seed, DOMAIN_BOOTSTRAP, draw))
+    keys = stream_keys(seed, DOMAIN_BOOTSTRAP, k)
+    stats = _centroid_shape_stats(_resampled_means(ds, feats, keys, seed, DOMAIN_BOOTSTRAP, draw))
     return BootstrapEnsemble(
         tau=stats["tau"], gamma=stats["gamma"], u=stats["u"], v=stats["v"],
         seed=int(seed),
@@ -596,15 +606,17 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
         raise InsufficientReplicatesError(
             f"need at least 3 valid replicates, got {valid.size}"
         )
+    depths = ens._region_depths
+    threshold, member = depths.region(math.ceil(level * valid.size))
+    points = depths.cloud[member]
+    hull, area = _hull_and_area(points)
+    # warned after the hull: the first region's import of scipy.spatial
+    # resets the registry that shows a warning once per location
     if valid.size < _MIN_REGION_REPLICATES:
         warnings.warn(
             f"only {valid.size} valid replicates; the confidence region is coarse",
             stacklevel=2,
         )
-    depths = ens._region_depths
-    threshold, member = depths.region(math.ceil(level * valid.size))
-    points = depths.cloud[member]
-    hull, area = _hull_and_area(points)
     return ConfidenceRegion(
         level=float(level),
         depth_threshold=threshold,
@@ -639,17 +651,18 @@ def region_summary(cr: ConfidenceRegion) -> dict:
 # permutation test
 
 
-def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
-    """Label-shuffling test of the fully exchangeable null.
+# float64's unit roundoff u: one rounding errs by at most u relative
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
-    Returns two-sided p-values ``{"p_tau": ..., "p_gamma": ...}`` with
-    p = (1 + #{|stat_perm| >= |stat_obs|}) / (K + 1); permutations where
-    a statistic is undefined count as exceeding.  Observed and permuted
-    statistics come from one function (``_observed_triangle``).
-    """
-    if k < 1:
-        raise ValueError("need at least one permutation")
-    _, obs = _observed_triangle(ds)
+
+def _permutation_means(
+    ds: GroupedDataset, keys: np.ndarray, seed: int, skip: int | None = None
+) -> np.ndarray:
+    """The exact kernel's (3, m, p) group means of the relabellings keyed
+    by ``keys``, rows of ``stream_keys(seed, DOMAIN_PERMUTATION, K)``:
+    relabelling j gives group A the first n_A rows of the
+    ``permutation(N)`` drawn from stream (seed, permutation, j), B the
+    next n_B and C the rest.  Group ``skip`` is left unsummed."""
 
     def draw(rng, keys):
         # permutation(n) is arange(n) shuffled in place: the same draws
@@ -659,20 +672,156 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
             g.shuffle(row)
         return idx
 
-    means = _resampled_means(ds, [ds.features] * 3, k, seed, DOMAIN_PERMUTATION, draw)
-    stats = _centroid_shape_stats(means)
+    return _resampled_means(ds, [ds.features] * 3, keys, seed, DOMAIN_PERMUTATION, draw, skip)
 
-    def pvalue(perm_vals: np.ndarray, observed: float) -> float:
-        exceed = ~np.isfinite(perm_vals)  # undefined counts as extreme
-        if math.isfinite(observed):
-            exceed |= np.abs(perm_vals) >= abs(observed)
-            return (1.0 + np.count_nonzero(exceed)) / (k + 1.0)
-        return 1.0
 
-    return {
-        "p_tau": pvalue(stats["tau"], float(obs["tau"][0])),
-        "p_gamma": pvalue(stats["gamma"], float(obs["gamma"][0])),
-    }
+def _derived_mean_error(x: np.ndarray, n_big: int) -> float:
+    """Bound on the 2-norm distance between the mean of a group of n_big
+    of the n rows of ``x`` taken as (T - n1 m1 - n2 m2) / n_big, T the
+    column totals and m1, m2 the exact kernel's means of the other two
+    groups, and the mean the exact kernel sums.
+
+    Summing terms in any order errs by at most gamma_{t-1} = (t - 1) u /
+    (1 - (t - 1) u) times the sum of their magnitudes (Higham 2002,
+    *Accuracy and Stability of Numerical Algorithms*, section 4.2).  Over
+    the four sums (T, the two other groups' and the kernel's own) that is
+    (2n - 4) u per unit of a column's |x| sum, and the products n_g m_g,
+    the two subtractions and the two divisions add at most 10 u, so a
+    column's mean errs by at most (2n + 6) u |x| sum / n_big.  That is at
+    most 3n of the 4n taken here, for n >= 6; the rest is room for the
+    rounding of the bound itself.  A column's |x| sum is at most sqrt(n
+    times its sum of squares) (Cauchy-Schwarz), so the 2-norm of the
+    columns' |x| sums is at most sqrt(n) times the Frobenius norm of x.
+    """
+    n = x.shape[0]
+    # no (n, p) temporary and no BLAS call; an overflow gives an infinite
+    # bound, which decides no permutation
+    with np.errstate(over="ignore"):
+        sum_squares = float(np.einsum("ij,ij->", x, x))
+    return 4.0 * n * _UNIT_ROUNDOFF * math.sqrt(n * sum_squares) / n_big
+
+
+def _magnitude(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The least and the largest |x| for x in [lo, hi]."""
+    return np.maximum(np.maximum(lo, -hi), 0.0), np.maximum(-lo, hi)
+
+
+def _certified_counts(
+    means: np.ndarray, big: int, error: float, scale: float, observed: tuple
+) -> tuple:
+    """Decide from approximate means which permutations exceed.
+
+    ``means`` are the exact kernel's group means except group ``big``'s,
+    which lie within ``error`` (2-norm) of them; ``scale`` bounds 1 + the
+    largest |mean|.  Returns ``(counts, undecided)``: for tau and then
+    gamma, the number of permutations certainly counted by the p-value
+    rule of ``permutation_test``, and the mask of those no bound decides.
+
+    Moving a vertex by at most e moves the length r of a side at it by
+    at most e, so its squared side by at most e (2r + e); the subtraction,
+    the p squares and their sum round both sides' values by at most
+    (2p + 4) u relative, and (2p + 16) u leaves room.  The side opposite
+    ``big`` joins two exact vertices.  From the sides' intervals, tau =
+    3 b2 / (a2 + b2 + c2) - 1, increasing in b2 and decreasing in a2 and
+    c2, and gamma = (b2 - a2 - c2) / (2 sqrt(a2 c2)) get intervals; the
+    exact kernel's formulas round tau by less than 64 u and gamma by less
+    than 64 u (a2 + b2 + c2) / (2 sqrt(a2 c2)), their bounds included.
+    A permutation stays undecided where the triangle may be degenerate,
+    gamma may be undefined (a2 or c2 may be 0), or an interval holds
+    |observed|.  Comparing |x| with |observed| <= 1 gives the same
+    verdict before and after the kernel's clip to [-1, 1].
+    """
+    u = _UNIT_ROUNDOFF
+    sides = np.stack(_squared_sides(means))
+    moved = np.full((3, 1), error)
+    moved[big] = 0.0
+    # an infinite or overflowing bound decides nothing, silently
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = moved * (2.0 * np.sqrt(sides) + moved) + (2 * means.shape[2] + 16) * u * sides
+        lo = np.maximum(sides - bound, 0.0)
+        hi = sides + bound
+        (a_lo, b_lo, c_lo), (a_hi, b_hi, c_hi) = lo, hi
+        # the kernel's coincidence rule, sqrt(total / 3) < _COINCIDENT_RTOL
+        # * scale, fails for every total above 3 (_COINCIDENT_RTOL scale)^2
+        decided = lo.sum(axis=0) > 4.0 * (_COINCIDENT_RTOL * scale) ** 2
+        least, most = _magnitude(
+            3.0 * b_lo / (a_hi + b_lo + c_hi) - 1.0, 3.0 * b_hi / (a_lo + b_hi + c_lo) - 1.0
+        )
+        slack = 64 * u
+        exceeds = [least - slack >= abs(observed[0]), np.zeros_like(decided)]
+        decided &= exceeds[0] | (most + slack < abs(observed[0]))
+        if math.isfinite(observed[1]):
+            least, most = _magnitude(b_lo - a_hi - c_hi, b_hi - a_lo - c_lo)
+            den_lo, den_hi = 2.0 * np.sqrt(a_lo * c_lo), 2.0 * np.sqrt(a_hi * c_hi)
+            slack = 64 * u * hi.sum(axis=0) / den_lo
+            exceeds[1] = least / den_hi - slack >= abs(observed[1])
+            decided &= (den_lo > 0.0) & (exceeds[1] | (most / den_lo + slack < abs(observed[1])))
+    return [np.count_nonzero(e & decided) for e in exceeds], ~decided
+
+
+def _exceedances(stats: dict, observed: tuple) -> list:
+    """For tau and then gamma, the number of triangles of ``stats`` whose
+    |statistic| reaches the observed one's, or where it is undefined."""
+    return [
+        np.count_nonzero(~np.isfinite(stats[name]) | (np.abs(stats[name]) >= abs(obs)))
+        for name, obs in zip(("tau", "gamma"), observed)
+    ]
+
+
+def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
+    """Label-shuffling test of the fully exchangeable null.
+
+    Returns two-sided p-values ``{"p_tau": ..., "p_gamma": ...}`` with
+    p = (1 + #{|stat_perm| >= |stat_obs|}) / (K + 1); permutations where
+    a statistic is undefined count as exceeding, and an undefined
+    observed statistic has p = 1.  Permutation j relabels the rows by
+    the ``permutation(N)`` of stream (seed, permutation, j).
+
+    Each count is the one that the exact kernel's group means
+    (``_permutation_means``), put through the statistics of the observed
+    triangle (``_centroid_shape_stats``), would give, but most
+    permutations are decided without them.  The two smaller groups are
+    summed by the exact kernel; the largest group's sum is the column
+    total less theirs, and ``_derived_mean_error`` bounds how far its
+    mean lies from the kernel's.  ``_certified_counts`` turns that into
+    intervals for tau and gamma and decides every permutation whose
+    intervals do not hold |observed|; the rest are drawn again by their
+    keys and go through the exact kernel.  At p = 1 gamma is +-1 on
+    every permutation, so no bound decides it, and every permutation
+    goes through the exact kernel.
+    """
+    if k < 1:
+        raise ValueError("need at least one permutation")
+    _, obs = _observed_triangle(ds)
+    observed = (float(obs["tau"][0]), float(obs["gamma"][0]))
+    keys = stream_keys(seed, DOMAIN_PERMUTATION, k)
+    if ds.p == 1:
+        # gamma is +-1 on every triangle of scalar means
+        counts = _exceedances(_centroid_shape_stats(_permutation_means(ds, keys, seed)), observed)
+    else:
+        sizes = [ds.n_per_group()[g] for g in GROUPS]
+        big = int(np.argmax(sizes))
+        first, second = (g for g in range(3) if g != big)
+        means = _permutation_means(ds, keys, seed, skip=big)
+        x = ds.features
+        # (T - n1 m1 - n2 m2) / n_big in place, beside one (K, p) temporary
+        derived = means[big]
+        np.multiply(means[first], -sizes[first], out=derived)
+        derived += x.sum(axis=0)
+        derived -= sizes[second] * means[second]
+        derived /= sizes[big]
+        scale = 1.0 + max(float(x.max()), -float(x.min()))
+        counts, undecided = _certified_counts(
+            means, big, _derived_mean_error(x, sizes[big]), scale, observed
+        )
+        if undecided.any():
+            exact = _centroid_shape_stats(_permutation_means(ds, keys[undecided], seed))
+            counts = [c + e for c, e in zip(counts, _exceedances(exact, observed))]
+    pvalues = [
+        (1.0 + count) / (k + 1.0) if math.isfinite(obs) else 1.0
+        for count, obs in zip(counts, observed)
+    ]
+    return {"p_tau": pvalues[0], "p_gamma": pvalues[1]}
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, UndefinedCosineIBIError
 from .shape import ShapePoint, SideLengths
@@ -155,6 +154,9 @@ def tau_null_density(t, p: int):
     Uniform on [-1, 1] for p = 2, the semicircle law for p = 3.  Uses
     log-gamma so large p does not overflow.
     """
+    # imported here, so importing ibistat loads no part of scipy
+    from scipy import special
+
     p = _check_p(p)
     t = np.asarray(t, dtype=float)
     if np.any((t < -1.0) | (t > 1.0)):
@@ -167,6 +169,8 @@ def tau_null_density(t, p: int):
 
 def tau_null_cdf(t, p: int):
     """Null distribution function of tau: (tau+1)/2 follows Beta(p/2, p/2)."""
+    from scipy import special
+
     p = _check_p(p)
     t = np.asarray(t, dtype=float)
     if np.any((t < -1.0) | (t > 1.0)):

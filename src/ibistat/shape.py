@@ -360,15 +360,23 @@ def side_lengths(config: Configuration) -> SideLengths:
     return SideLengths(a2 / total, b2 / total, c2 / total)
 
 
+def _squared_sides(means: np.ndarray) -> tuple:
+    """The unnormalized squared sides (a2, b2, c2) of K triangles, from
+    the (3, K, p) array of their A, B and C vertices."""
+    xa, xb, xc = means
+    return (
+        np.sum((xb - xc) ** 2, axis=1),
+        np.sum((xa - xc) ** 2, axis=1),
+        np.sum((xa - xb) ** 2, axis=1),
+    )
+
+
 def _centroid_shape_stats(means: np.ndarray) -> dict:
     """Vectorized shape statistics for K centroid triangles, from the
     (3, K, p) array of their A, B and C vertices; degenerate triangles
     hold NaN instead of raising.  The sides and gamma have the bits of
     ``side_lengths`` and ``cosine_ibi``."""
-    xa, xb, xc = means
-    a2 = np.sum((xb - xc) ** 2, axis=1)
-    b2 = np.sum((xa - xc) ** 2, axis=1)
-    c2 = np.sum((xa - xb) ** 2, axis=1)
+    a2, b2, c2 = _squared_sides(means)
     total = a2 + b2 + c2
     scale = 1.0 + np.max(np.abs(means), axis=(0, 2))
     # coincident-centroid rule matching Configuration.is_degenerate:

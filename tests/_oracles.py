@@ -115,27 +115,56 @@ def reference_permutation_means(ds, k, seed) -> np.ndarray:
     return means
 
 
-def permutation_means(ds, k, seed) -> np.ndarray:
-    """The (3, k, p) group means ``permutation_test`` hands to the shape
-    statistics, caught on their way in."""
+def permutation_pvalues_from_means(ds, means) -> dict:
+    """``permutation_test``'s p-values from the (3, k, p) group means of
+    its k permutations: every permuted triangle through
+    ``_centroid_shape_stats``, and p = (1 + #{|stat| >= |observed| or stat
+    undefined}) / (k + 1), or 1 where the observed statistic is undefined."""
+    from ibistat.inference import _observed_triangle
+    from ibistat.shape import _centroid_shape_stats
+
+    _, observed = _observed_triangle(ds)
+    stats = _centroid_shape_stats(means)
+    k = means.shape[1]
+    pvalues = {}
+    for name in ("tau", "gamma"):
+        obs, perm = float(observed[name][0]), stats[name]
+        exceed = ~np.isfinite(perm) | (np.abs(perm) >= abs(obs))
+        pvalues[f"p_{name}"] = (1.0 + np.count_nonzero(exceed)) / (k + 1.0) if math.isfinite(obs) else 1.0
+    return pvalues
+
+
+def reference_permutation_pvalues(ds, k, seed) -> dict:
+    """The p-values of ``reference_permutation_means``."""
+    return permutation_pvalues_from_means(ds, reference_permutation_means(ds, k, seed))
+
+
+def permutation_means(ds, k, seed, skip=None) -> np.ndarray:
+    """The (3, k, p) group means of the permutation test's exact kernel
+    for its k permutations; group ``skip``'s are left unset."""
+    from ibistat import inference
+    from ibistat.sampling import DOMAIN_PERMUTATION, stream_keys
+
+    keys = stream_keys(seed, DOMAIN_PERMUTATION, k)
+    return inference._permutation_means(ds, keys, seed, skip)
+
+
+def count_exact_permutations(monkeypatch) -> list:
+    """Record the number of permutations each call of the exact kernel
+    sums all three groups of: after the certified pass over all k, which
+    leaves one group unsummed, the permutations no bound decided."""
     from ibistat import inference
 
-    captured = []
-    stats = inference._centroid_shape_stats
+    exact = []
+    kernel = inference._permutation_means
 
-    def spy(means):
-        captured.append(means)
-        return stats(means)
+    def spy(ds, keys, seed, skip=None):
+        if skip is None:
+            exact.append(len(keys))
+        return kernel(ds, keys, seed, skip)
 
-    inference._centroid_shape_stats = spy
-    try:
-        inference.permutation_test(ds, k=k, seed=seed)
-    finally:
-        inference._centroid_shape_stats = stats
-    # the observed triangle's means come first, then the permutations'
-    observed, means = captured
-    assert observed.shape == (3, 1, ds.p)
-    return means
+    monkeypatch.setattr(inference, "_permutation_means", spy)
+    return exact
 
 
 def glyph_count(svg: str) -> int:

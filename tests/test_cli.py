@@ -469,6 +469,32 @@ def test_whiten_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert json.loads(reports[0])["config"]["standardize"] == "whiten"
 
 
+def fresh_python(*args):
+    # a new interpreter that imports this checkout's ibistat
+    src = str(Path(inference.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+
+
+def test_coarse_region_warning_is_printed_once(tmp_path):
+    # both levels warn from one line of run_analysis; the first region's
+    # import of scipy.spatial must not make the default filter show the
+    # second warning too
+    run = fresh_python(
+        "-m", "ibistat.cli", "analyze", "--input", iris_csv_path(), "--group-col", "species",
+        "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "50",
+        "--levels", "0.8,0.95", "--report", str(tmp_path / "r.json"),
+    )
+    lines = run.stderr.splitlines()
+    assert sum("UserWarning: only 50 valid replicates" in line for line in lines) == 1, run.stderr
+
+
+def test_importing_the_command_line_loads_no_scipy():
+    run = fresh_python("-c", "import sys, ibistat, ibistat.cli; print('scipy' in sys.modules)")
+    assert run.stdout.strip() == "False"
+
+
 def test_analyze_feature_subset_and_modes(tmp_path):
     raw = run_analyze(
         tmp_path, "subset", "--features", "sepal_length,sepal_width",

@@ -41,10 +41,12 @@ from ibistat.shape import _centroid_shape_stats
 from _oracles import (
     assert_region_matches_full_kernel,
     cloud_depths,
+    count_exact_permutations,
     permutation_means,
     quantile_type7,
     reference_bootstrap,
     reference_permutation_means,
+    reference_permutation_pvalues,
 )
 from conftest import iris_config
 
@@ -495,6 +497,8 @@ def expected_workers(chunk, workers):
 @pytest.mark.parametrize("chunk", ["default", 1, 7])
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 16])
 def test_permutation_matches_per_replicate_reference(monkeypatch, p, chunk):
+    # the exact kernel, which permutation_test runs on the permutations
+    # its bound leaves undecided, and on all of them at p = 1
     ds = unequal_dataset(p)
     monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(chunk, ds))
     calls = count_generators(monkeypatch)
@@ -558,6 +562,9 @@ def test_permutation_matches_per_replicate_reference_in_row_blocks(monkeypatch, 
     for workers in (1, 3):
         use_workers(monkeypatch, workers)
         np.testing.assert_array_equal(permutation_means(ds, WORKER_K, 3), reference)
+        # the certified pass leaves the largest group, C, unsummed
+        skipped = permutation_means(ds, WORKER_K, 3, skip=2)
+        np.testing.assert_array_equal(skipped[:2], reference[:2])
 
 
 def test_resampling_worker_error_propagates(iris_ds, monkeypatch):
@@ -571,8 +578,9 @@ def test_resampling_worker_error_propagates(iris_ds, monkeypatch):
             raise RuntimeError("draw failed in a worker")
         return sampling.bootstrap_indices(rng, keys, sizes)
 
+    keys = sampling.stream_keys(1, DOMAIN_BOOTSTRAP, 40)
     with pytest.raises(RuntimeError, match="draw failed in a worker"):
-        inference._resampled_means(iris_ds, feats, 40, 1, DOMAIN_BOOTSTRAP, draw)
+        inference._resampled_means(iris_ds, feats, keys, 1, DOMAIN_BOOTSTRAP, draw)
 
 
 def test_resampling_more_workers_than_cores_with_fast_switching(monkeypatch):
@@ -1025,6 +1033,93 @@ def test_permutation_deterministic(iris_ds):
     assert a == b
     assert 0.0 < a["p_tau"] <= 1.0
     assert 0.0 < a["p_gamma"] <= 1.0
+
+
+def certificate_dataset(name, iris_ds):
+    # the certified p-values' test grid: continuous data, ties, a large
+    # common offset, near-duplicate groups and an undefined observed gamma
+    rng = np.random.default_rng(sum(map(ord, name)))
+    labels = rng.permutation(np.repeat(np.array(["A", "B", "C"]), (30, 20, 40)))
+    if name.startswith("iris-"):
+        return standardize(iris_ds, name[5:])
+    if name.startswith("unequal-p"):
+        return unequal_dataset(int(name[9:]), sizes=(61, 37, 86))
+    if name == "null":
+        return GroupedDataset(features=rng.normal(size=(300, 3)), labels=np.repeat(list("ABC"), 100))
+    if name in ("integers", "binary"):
+        values = rng.integers(0, 3 if name == "integers" else 2, size=(90, 2))
+        return GroupedDataset(features=values.astype(float), labels=labels)
+    if name == "offset":
+        return GroupedDataset(features=1e6 + 1e-3 * rng.normal(size=(90, 2)), labels=labels)
+    if name == "duplicated-rows":
+        # 24 rows drawn from 6, plus an offset: many relabellings give
+        # the observed statistics again, some to the last bit
+        pool = rng.integers(0, 3, size=(6, 2)).astype(float)
+        labels = rng.permutation(np.repeat(np.array(["A", "B", "C"]), (6, 12, 6)))
+        return GroupedDataset(features=pool[rng.integers(6, size=24)] + 1e6, labels=labels)
+    if name == "huge":
+        # near standardize's limit on |x|, where the bound overflows and
+        # every permutation goes through the exact kernel
+        limit = math.sqrt(np.finfo(float).max / 36)
+        return GroupedDataset(features=rng.uniform(-0.99, 0.99, size=(90, 3)) * limit, labels=labels)
+    base = rng.normal(size=(30, 3))
+    if name == "near-duplicate":
+        groups = [base, base + 1e-9 * rng.normal(size=base.shape), base + 1e-9 * rng.normal(size=base.shape)]
+    else:  # "gamma-undefined": B's rows are C's, so their centroids coincide
+        other = rng.normal(size=(30, 3))
+        groups = [base, other, other]
+    return GroupedDataset(features=np.vstack(groups), labels=np.repeat(list("ABC"), 30))
+
+
+CERTIFICATE_CASES = [
+    "iris-none", "iris-feature", "iris-whiten", "unequal-p1", "unequal-p2", "unequal-p3",
+    "unequal-p16", "null", "integers", "binary", "offset", "duplicated-rows",
+    "near-duplicate", "huge", "gamma-undefined",
+]
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_CASES)
+def test_certified_pvalues_equal_the_exact_reference(monkeypatch, iris_ds, name):
+    ds = certificate_dataset(name, iris_ds)
+    exact = count_exact_permutations(monkeypatch)
+    result = permutation_test(ds, k=299, seed=3)
+    assert result == reference_permutation_pvalues(ds, 299, 3)
+    if ds.p == 1 or name == "huge":
+        # no bound decides gamma = +-1 at p = 1, nor does one that overflowed
+        assert exact == [299]
+    if name == "gamma-undefined":
+        assert math.isnan(observed_ibi(ds, mode="none").gamma)
+        assert result["p_gamma"] == 1.0
+
+
+def test_no_permutation_is_undecided_on_continuous_data(monkeypatch):
+    rng = np.random.default_rng(21)
+    ds = GroupedDataset(features=rng.normal(size=(600, 8)), labels=np.repeat(list("ABC"), 200))
+    exact = count_exact_permutations(monkeypatch)
+    result = permutation_test(ds, k=999, seed=2)
+    assert exact == []
+    assert result == reference_permutation_pvalues(ds, 999, 2)
+
+
+def test_tied_integer_data_sends_some_permutations_to_the_exact_kernel(monkeypatch):
+    # permutations of {0, 1} features repeat the observed triangle's
+    # statistics exactly, within any bound of them
+    rng = np.random.default_rng(22)
+    labels = rng.permutation(np.repeat(np.array(["A", "B", "C"]), (30, 20, 40)))
+    ds = GroupedDataset(features=rng.integers(0, 2, size=(90, 2)).astype(float), labels=labels)
+    exact = count_exact_permutations(monkeypatch)
+    result = permutation_test(ds, k=999, seed=3)
+    assert len(exact) == 1 and 0 < exact[0] < 999, exact
+    assert result == reference_permutation_pvalues(ds, 999, 3)
+
+
+def test_an_infinite_bound_sends_every_permutation_to_the_exact_kernel(monkeypatch, iris_ds):
+    certified = permutation_test(iris_ds, k=300, seed=6)
+    monkeypatch.setattr(inference, "_derived_mean_error", lambda *args: math.inf)
+    exact = count_exact_permutations(monkeypatch)
+    assert permutation_test(iris_ds, k=300, seed=6) == certified
+    assert exact == [300]
+    assert certified == reference_permutation_pvalues(iris_ds, 300, 6)
 
 
 # ---------------------------------------------------------------------------

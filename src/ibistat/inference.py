@@ -610,13 +610,6 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
     threshold, member = depths.region(math.ceil(level * valid.size))
     points = depths.cloud[member]
     hull, area = _hull_and_area(points)
-    # warned after the hull: the first region's import of scipy.spatial
-    # resets the registry that shows a warning once per location
-    if valid.size < _MIN_REGION_REPLICATES:
-        warnings.warn(
-            f"only {valid.size} valid replicates; the confidence region is coarse",
-            stacklevel=2,
-        )
     return ConfidenceRegion(
         level=float(level),
         depth_threshold=threshold,
@@ -895,9 +888,7 @@ def coverage_simulation(
         ci_hits += lo <= tau_true <= hi
         lengths[s] = hi - lo
         coarse += np.count_nonzero(ens.valid_mask()) < _MIN_REGION_REPLICATES
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=r"only \d+ valid replicates")
-            cr = confidence_region(ens, level)
+        cr = confidence_region(ens, level)
         cr_hits += tukey_depth(uv_true, ens.valid_cloud()) >= cr.depth_threshold
         areas[s] = cr.area
     if coarse:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -22,11 +23,13 @@ from ._version import __version__
 from .errors import (
     CsvParseError,
     FewerThanThreeGroupsError,
+    InsufficientDataError,
     UnknownGroupLabelError,
 )
 from .inference import (
     GROUPS,
     GroupedDataset,
+    _MIN_REGION_REPLICATES,
     _observed_triangle,
     confidence_region,
     percentile_ci,
@@ -270,18 +273,21 @@ def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
         observed["gamma"] = None
 
     ens = stratified_bootstrap(work, k=config.boot_k, seed=config.seed)
+    n_valid = np.count_nonzero(ens.valid_mask())
+    if config.levels and n_valid < _MIN_REGION_REPLICATES:
+        warnings.warn(
+            f"only {n_valid} valid replicates; the confidence region is coarse",
+            stacklevel=2,
+        )
     cis = {"tau": {}, "gamma": {}}
     regions = {}
     region_objects = {}
     for level in config.levels:
         key = _level_key(level)
-        lo, hi = percentile_ci(ens.tau, level)
-        cis["tau"][key] = [lo, hi]
-        gamma_vals = ens.gamma[np.isfinite(ens.gamma)]
-        if gamma_vals.size >= 2:
-            lo, hi = percentile_ci(gamma_vals, level)
-            cis["gamma"][key] = [lo, hi]
-        else:
+        cis["tau"][key] = list(percentile_ci(ens.tau, level))
+        try:
+            cis["gamma"][key] = list(percentile_ci(ens.gamma, level))
+        except InsufficientDataError:
             cis["gamma"][key] = None
         cr = confidence_region(ens, level)
         region_objects[key] = cr

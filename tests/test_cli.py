@@ -478,9 +478,7 @@ def fresh_python(*args):
 
 
 def test_coarse_region_warning_is_printed_once(tmp_path):
-    # both levels warn from one line of run_analysis; the first region's
-    # import of scipy.spatial must not make the default filter show the
-    # second warning too
+    # run_analysis decides once per run, not once per level
     run = fresh_python(
         "-m", "ibistat.cli", "analyze", "--input", iris_csv_path(), "--group-col", "species",
         "--groups", "A=setosa,B=versicolor,C=virginica", "--boot", "50",
@@ -488,6 +486,21 @@ def test_coarse_region_warning_is_printed_once(tmp_path):
     )
     lines = run.stderr.splitlines()
     assert sum("UserWarning: only 50 valid replicates" in line for line in lines) == 1, run.stderr
+
+
+def test_coverage_simulation_keeps_the_once_per_location_registry():
+    # a warning shown once must stay shown once: changing the warning
+    # filters, even inside catch_warnings, makes every location warn again
+    # (scipy.spatial is imported first, since importing it does the same)
+    run = fresh_python("-c", "\n".join([
+        "import warnings, scipy.spatial",
+        "from ibistat import coverage_simulation",
+        "for _ in range(2):",
+        "    warnings.warn('an unrelated note')",
+        "    coverage_simulation(r=0.5, phi=1.0, p=2, n_per_group=30, sigma2=1.0,",
+        "                        n_sims=1, k=200, seed=0)",
+    ]))
+    assert run.stderr.count("UserWarning: an unrelated note") == 1, run.stderr
 
 
 def test_importing_the_command_line_loads_no_scipy():

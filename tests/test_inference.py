@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,18 @@ def test_gamma_undefined_when_b_meets_a_or_c(labels):
     report, _ = run_analysis(iris_config(standardize_mode="none", boot_k=50, levels=()), ds)
     assert report["observed"]["gamma"] is None
     assert report["observed"]["tau"] == pair.tau
+
+
+def test_gamma_interval_is_none_when_no_replicate_defines_gamma():
+    # A's and B's rows are all at the origin, so every replicate's side c
+    # vanishes; tau is still defined
+    feats = np.array([[0.0, 0.0]] * 4 + [[1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+    ds = GroupedDataset(features=feats, labels=np.array(list("AABBCCC")))
+    report, _ = run_analysis(iris_config(standardize_mode="none", boot_k=200, levels=(0.8,)), ds)
+    assert report["diagnostics"]["gamma_undefined_replicates"] == 200
+    assert report["confidence_intervals"]["gamma"] == {"0.8": None}
+    lo, hi = report["confidence_intervals"]["tau"]["0.8"]
+    assert abs(lo - 0.5) <= 1e-12 and abs(hi - 0.5) <= 1e-12
 
 
 IRIS_SUBSETS = [
@@ -795,18 +808,35 @@ def test_confidence_region_hull_contains_members(iris_ds):
         assert np.all(proj >= -1e-12)
 
 
-def test_confidence_region_errors_and_warnings():
-    feats = np.vstack([np.random.default_rng(7).normal(size=(4, 2)) + off
-                       for off in ([0, 0], [1, 0], [0, 1])])
-    ds = GroupedDataset(features=feats, labels=np.repeat(list("ABC"), 4))
-    ens = stratified_bootstrap(ds, k=50, seed=0)
-    with pytest.warns(UserWarning):
-        confidence_region(ens, 0.9)
+def test_confidence_region_needs_three_valid_replicates():
     degenerate = GroupedDataset(
         features=np.ones((6, 2)), labels=np.array(list("AABBCC"))
     )
     with pytest.raises(InsufficientReplicatesError):
         confidence_region(stratified_bootstrap(degenerate, k=20, seed=0), 0.9)
+
+
+def test_confidence_region_does_not_warn_when_coarse():
+    # 50 replicates make a coarse region; saying so is left to the command
+    feats = np.vstack([np.random.default_rng(7).normal(size=(4, 2)) + off
+                       for off in ([0, 0], [1, 0], [0, 1])])
+    ds = GroupedDataset(features=feats, labels=np.repeat(list("ABC"), 4))
+    ens = stratified_bootstrap(ds, k=50, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cr = confidence_region(ens, 0.9)
+    assert cr.member_points.shape[0] >= 45
+
+
+def test_run_analysis_warns_once_for_coarse_regions(iris_ds):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        report, _ = run_analysis(iris_config(boot_k=50, levels=(0.8, 0.95)), iris_ds)
+    assert [str(w.message) for w in record] == [
+        "only 50 valid replicates; the confidence region is coarse"
+    ]
+    assert record[0].category is UserWarning and record[0].filename == __file__
+    assert list(report["regions"]) == ["0.8", "0.95"]
 
 
 def test_confidence_region_narrow_band_near_degenerate_observed():
@@ -841,7 +871,6 @@ def ensemble_of(points):
     )
 
 
-@pytest.mark.filterwarnings("ignore:only .* valid replicates")
 @pytest.mark.parametrize("cloud", ["grid", "grid-dense", "random", "three"])
 def test_confidence_region_threshold_matches_counting_rule(cloud):
     rng = np.random.default_rng(17)
@@ -882,7 +911,6 @@ def test_region_matches_full_kernel_on_iris(features, seed):
     assert_region_matches_full_kernel(ens, REGION_LEVELS)
 
 
-@pytest.mark.filterwarnings("ignore:only .* valid replicates")
 def test_region_matches_full_kernel_on_tiny_groups_and_few_replicates(iris_ds):
     # groups of 2 or 3 rows give many duplicate replicates
     for rows, seed in ((2, 0), (3, 1), (2, 2), (3, 3)):
@@ -895,7 +923,6 @@ def test_region_matches_full_kernel_on_tiny_groups_and_few_replicates(iris_ds):
         assert_region_matches_full_kernel(ens, REGION_LEVELS)
 
 
-@pytest.mark.filterwarnings("ignore:only .* valid replicates")
 def test_region_matches_full_kernel_on_synthetic_clouds():
     rng = np.random.default_rng(23)
     for _ in range(12):
@@ -913,7 +940,6 @@ def test_region_matches_full_kernel_on_synthetic_clouds():
             assert_region_matches_full_kernel(ens, REGION_LEVELS)
 
 
-@pytest.mark.filterwarnings("ignore:only .* valid replicates")
 @pytest.mark.parametrize("seed", [629, 2012, 2084])
 def test_deepest_member_is_first_of_ties_even_with_a_tight_bound(seed):
     # copies of a few points, where the first deepest point has an upper

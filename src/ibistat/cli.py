@@ -10,12 +10,13 @@ from itertools import combinations
 
 from ._version import __version__
 from .errors import IbistatError
-from .inference import coverage_simulation
+from .inference import STANDARDIZE_MODES, coverage_simulation
 from .report import AnalysisConfig, dumps_report, load_csv, run_analysis
 from .svgplot import svg_from_report
 
 
 def _parse_groups(raw: str) -> dict:
+    """{role: label} of "A=x,B=y,C=z"; AnalysisConfig checks the roles."""
     mapping = {}
     for part in raw.split(","):
         if "=" not in part:
@@ -26,19 +27,15 @@ def _parse_groups(raw: str) -> dict:
         if key in mapping:
             raise argparse.ArgumentTypeError(f"groups assign {key} more than once")
         mapping[key] = value
-    if sorted(mapping) != ["A", "B", "C"]:
-        raise argparse.ArgumentTypeError("groups must assign exactly A, B and C")
     return mapping
 
 
 def _parse_levels(raw: str) -> tuple:
+    """The floats of "0.8,0.95"; AnalysisConfig checks their range."""
     try:
-        levels = tuple(float(x) for x in raw.split(","))
+        return tuple(float(x) for x in raw.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad levels {raw!r}") from None
-    if not levels or not all(0.0 < lv < 1.0 for lv in levels):
-        raise argparse.ArgumentTypeError("levels must lie in (0, 1)")
-    return levels
 
 
 def _parse_features(raw: str) -> tuple:
@@ -81,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--features", default="", type=_parse_features,
         help="comma-separated feature columns (default: all non-group columns)",
     )
-    pa.add_argument(
-        "--standardize", default="feature", choices=["none", "feature", "whiten"],
-    )
+    pa.add_argument("--standardize", default="feature", choices=STANDARDIZE_MODES)
     pa.add_argument("--boot", type=int, default=2000, help="bootstrap replicates")
     pa.add_argument("--perm", type=int, default=0, help="permutations (0 = skip)")
     pa.add_argument("--levels", type=_parse_levels, default=(0.8, 0.95))

@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 GROUPS = ("A", "B", "C")
+STANDARDIZE_MODES = ("none", "feature", "whiten")
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -779,9 +780,9 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
     mean lies from the kernel's.  ``_certified_counts`` turns that into
     intervals for tau and gamma and decides every permutation whose
     intervals do not hold |observed|; the rest are drawn again by their
-    keys and go through the exact kernel.  At p = 1 gamma is +-1 on
-    every permutation, so no bound decides it, and every permutation
-    goes through the exact kernel.
+    keys and go through the exact kernel.  At p = 1 all go through the
+    exact kernel: gamma is +-1 in exact arithmetic, but the computed
+    |gamma| can round below 1, so rounding decides p_gamma.
     """
     if k < 1:
         raise ValueError("need at least one permutation")
@@ -789,7 +790,7 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
     observed = (float(obs["tau"][0]), float(obs["gamma"][0]))
     keys = stream_keys(seed, DOMAIN_PERMUTATION, k)
     if ds.p == 1:
-        # gamma is +-1 on every triangle of scalar means
+        # gamma is +-1 on every triangle of scalar means, up to rounding
         counts = _exceedances(_centroid_shape_stats(_permutation_means(ds, keys, seed)), observed)
     else:
         sizes = [ds.n_per_group()[g] for g in GROUPS]

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .inference import (
     GROUPS,
+    STANDARDIZE_MODES,
     GroupedDataset,
     _MIN_REGION_REPLICATES,
     _observed_triangle,
@@ -73,19 +74,19 @@ class AnalysisConfig:
                 f"input_path (--input) is not valid UTF-8: {self.input_path!r}"
             ) from None
         if sorted(self.group_order) != sorted(GROUPS):
-            raise ValueError("group_order must map exactly A, B and C")
+            raise ValueError("group_order (--groups) must map exactly A, B and C")
         if len(set(self.group_order.values())) != 3:
-            raise ValueError("group_order must map to three distinct labels")
+            raise ValueError("group_order (--groups) must map to three distinct labels")
         if self.boot_k < 3:
             raise ValueError(f"boot_k (--boot) must be >= 3, got {self.boot_k}")
         if self.boot_k > MAX_STREAMS:
             raise ValueError(f"boot_k (--boot) must be at most 2**32, got {self.boot_k}")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
-            raise ValueError("levels must lie in (0, 1)")
+            raise ValueError(f"levels (--levels) must lie in (0, 1), got {list(self.levels)}")
         keys = [_level_key(lv) for lv in self.levels]
         if len(set(keys)) != len(keys):
             raise ValueError(
-                f"levels {list(self.levels)} share a report key "
+                f"levels (--levels) {list(self.levels)} share a report key "
                 f"({', '.join(keys)}); give each level once"
             )
         if self.perm_k < 0:
@@ -94,8 +95,8 @@ class AnalysisConfig:
             raise ValueError(f"perm_k (--perm) must be at most 2**32, got {self.perm_k}")
         if self.seed < 0:
             raise ValueError(f"seed (--seed) must be >= 0, got {self.seed}")
-        if self.standardize_mode not in ("none", "feature", "whiten"):
-            raise ValueError(f"unknown standardize mode {self.standardize_mode!r}")
+        if self.standardize_mode not in STANDARDIZE_MODES:
+            raise ValueError(f"standardize_mode (--standardize) must be one of {STANDARDIZE_MODES}")
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
         object.__setattr__(self, "levels", tuple(float(lv) for lv in self.levels))
 
@@ -144,9 +145,9 @@ def _parse_rows(rows, width, group_idx, col_idx, label_map):
         return None
     try:
         labels = [label_map[row[group_idx]] for row in rows]
-        # the cast calls float() on each cell; one column's getter gives bare cells
-        cells = np.array(list(map(itemgetter(*col_idx), rows)), dtype=object)
-        values = cells.astype(float).reshape(len(rows), len(col_idx))
+        # float() reads each cell; one column's getter gives bare cells
+        values = np.array(list(map(itemgetter(*col_idx), rows)), dtype=float)
+        values = values.reshape(len(rows), len(col_idx))
     except (KeyError, ValueError):
         return None
     if not np.isfinite(values).all():
@@ -154,11 +155,10 @@ def _parse_rows(rows, width, group_idx, col_idx, label_map):
     return labels, values
 
 
-def _parse_rows_per_cell(rows, lines, header, group_idx, col_idx, feature_cols, config):
+def _parse_rows_per_cell(rows, lines, header, group_idx, col_idx, feature_cols, label_map):
     """``_parse_rows`` row by row and cell by cell, raising at the first
     malformed row or cell with its 1-based line; ``rows[i]`` starts on
     line ``lines[i]``."""
-    label_map = {v: k for k, v in config.group_order.items()}
     labels = []
     values = np.empty((len(rows), len(col_idx)))
     for i, (row, line) in enumerate(zip(rows, lines)):
@@ -167,8 +167,8 @@ def _parse_rows_per_cell(rows, lines, header, group_idx, col_idx, feature_cols, 
         raw_label = row[group_idx]
         if raw_label not in label_map:
             raise UnknownGroupLabelError(
-                f"line {line}: group label {raw_label!r} not covered by the "
-                f"A/B/C mapping {config.group_order}"
+                f"line {line}: group label {raw_label!r} is none of the "
+                f"group_order (--groups) labels {list(label_map)}"
             )
         vec = values[i]
         for j, ci in enumerate(col_idx):
@@ -238,9 +238,10 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
         while True:
             rows, lines, error = _read_rows(reader, block_rows, path)
             # the per-cell pass reads the same values, and names the first bad cell
-            block_labels, block_values = _parse_rows(
-                rows, len(header), group_idx, col_idx, label_map
-            ) or _parse_rows_per_cell(rows, lines, header, group_idx, col_idx, feature_cols, config)
+            parsed = _parse_rows(rows, len(header), group_idx, col_idx, label_map)
+            block_labels, block_values = parsed or _parse_rows_per_cell(
+                rows, lines, header, group_idx, col_idx, feature_cols, label_map
+            )
             labels += block_labels
             blocks.append(block_values)
             full = len(rows) == block_rows
@@ -301,6 +302,8 @@ def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
 
     permutation = None
     if config.perm_k > 0:
+        if ds.p == 1:
+            warnings.warn("p_gamma is decided by rounding: at p = 1 gamma is +-1", stacklevel=2)
         pvals = permutation_test(work, k=config.perm_k, seed=config.seed)
         permutation = {"k": config.perm_k, "p_tau": pvals["p_tau"], "p_gamma": pvals["p_gamma"]}
 

@@ -110,7 +110,7 @@ def test_load_csv_whole_file_pass_reads_the_bits_of_the_per_cell_pass():
     label_map = {v: k for k, v in IRIS_GROUPS.items()}
     labels, values = _parse_rows(rows, len(header), group, cols, label_map)
     lines = range(2, 2 + len(rows))
-    ref_labels, ref_values = _parse_rows_per_cell(rows, lines, header, group, cols, IRIS_FEATURES, cfg)
+    ref_labels, ref_values = _parse_rows_per_cell(rows, lines, header, group, cols, IRIS_FEATURES, label_map)
     assert labels == ref_labels
     assert values.tobytes() == ref_values.tobytes()
     assert load_csv(path, cfg).features.tobytes() == ref_values.tobytes()
@@ -486,6 +486,20 @@ def test_coarse_region_warning_is_printed_once(tmp_path):
     )
     lines = run.stderr.splitlines()
     assert sum("UserWarning: only 50 valid replicates" in line for line in lines) == 1, run.stderr
+
+
+def test_p_gamma_rounding_warning_is_printed_once_at_p_1(tmp_path):
+    # one feature: gamma is +-1 on every relabelling, so rounding decides p_gamma
+    report = tmp_path / "r.json"
+    run = fresh_python(
+        "-m", "ibistat.cli", "analyze", "--input", iris_csv_path(), "--group-col", "species",
+        "--groups", "A=setosa,B=versicolor,C=virginica", "--features", "petal_length",
+        "--boot", "200", "--perm", "50", "--report", str(report),
+    )
+    lines = run.stderr.splitlines()
+    assert sum("UserWarning: p_gamma is decided by rounding" in line for line in lines) == 1, run.stderr
+    assert run.stdout == ""
+    assert json.loads(report.read_text())["permutation"]["k"] == 50
 
 
 def test_coverage_simulation_keeps_the_once_per_location_registry():
@@ -962,12 +976,42 @@ def test_analyze_report_and_svg_bytes_are_pinned(tmp_path, monkeypatch, extra,
     assert hashlib.sha256(Path("s.svg").read_bytes()).hexdigest() == svg_sha
 
 
-def test_analyze_rejects_bad_groups():
-    with pytest.raises(SystemExit):
+@pytest.mark.parametrize("option, value, message", [
+    ("--levels", "1.5", "levels (--levels) must lie in (0, 1)"),
+    ("--levels", "0.8,nan", "levels (--levels) must lie in (0, 1)"),
+    ("--groups", "A=setosa,B=versicolor", "group_order (--groups) must map exactly A, B and C"),
+    ("--groups", "A=setosa,B=versicolor,C=virginica,D=x", "(--groups) must map exactly A, B and C"),
+    ("--groups", "A=setosa,B=setosa,C=virginica", "(--groups) must map to three distinct labels"),
+], ids=["level-above-1", "level-nan", "groups-without-C", "groups-with-D", "label-twice"])
+def test_analyze_rejected_values_exit_1_naming_their_option(capsys, option, value, message):
+    # argparse only parses; AnalysisConfig rejects values
+    options = {"--groups": "A=setosa,B=versicolor,C=virginica", "--boot": "50", option: value}
+    code = main([
+        "analyze", "--input", iris_csv_path(), "--group-col", "species",
+        *(word for pair in options.items() for word in pair),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ibistat: error:") and message in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--levels", "abc"), ("--levels", "0.8,"), ("--groups", "A"), ("--standardize", "bogus"),
+], ids=["level-abc", "level-empty", "groups-no-equals", "standardize-bogus"])
+def test_analyze_text_argparse_cannot_parse_exits_2(capsys, option, value):
+    options = {"--groups": "A=setosa,B=versicolor,C=virginica", "--boot": "50", option: value}
+    with pytest.raises(SystemExit) as exit_:
         main([
             "analyze", "--input", iris_csv_path(), "--group-col", "species",
-            "--groups", "A=setosa,B=versicolor",
+            *(word for pair in options.items() for word in pair),
         ])
+    assert exit_.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
+def test_config_rejects_an_unknown_standardize_mode():
+    with pytest.raises(ValueError, match=r"^standardize_mode \(--standardize\) must be one of"):
+        iris_config(standardize_mode="bogus")
 
 
 def test_analyze_rejects_a_role_assigned_twice(capsys):

@@ -74,15 +74,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--groups", required=True, type=_parse_groups,
         help="mapping A=<label>,B=<label>,C=<label>; B is the candidate in-between group",
     )
+    # the defaults are AnalysisConfig's, so the CLI and the library agree
     pa.add_argument(
-        "--features", default="", type=_parse_features,
+        "--features", default=AnalysisConfig.feature_columns, type=_parse_features,
         help="comma-separated feature columns (default: all non-group columns)",
     )
-    pa.add_argument("--standardize", default="feature", choices=STANDARDIZE_MODES)
-    pa.add_argument("--boot", type=int, default=2000, help="bootstrap replicates")
-    pa.add_argument("--perm", type=int, default=0, help="permutations (0 = skip)")
-    pa.add_argument("--levels", type=_parse_levels, default=(0.8, 0.95))
-    pa.add_argument("--seed", type=int, default=0)
+    pa.add_argument("--standardize", choices=STANDARDIZE_MODES,
+                    default=AnalysisConfig.standardize_mode)
+    pa.add_argument("--boot", type=int, default=AnalysisConfig.boot_k, help="bootstrap replicates")
+    pa.add_argument("--perm", type=int, default=AnalysisConfig.perm_k,
+                    help="permutations (0 = skip)")
+    pa.add_argument("--levels", type=_parse_levels, default=AnalysisConfig.levels)
+    pa.add_argument("--seed", type=int, default=AnalysisConfig.seed)
     pa.add_argument("--threads", type=_positive_int, metavar="N",
                     help="accepted for compatibility; has no effect")
     pa.add_argument("--report", default="", help="write the JSON report here")

@@ -11,9 +11,9 @@ import csv
 import math
 import os
 import warnings
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from json.encoder import encode_basestring
 from operator import itemgetter
 
@@ -101,87 +101,38 @@ class AnalysisConfig:
         object.__setattr__(self, "levels", tuple(float(lv) for lv in self.levels))
 
 
-# Rows are read and parsed in blocks of about this many cells, so the
-# loader holds the feature matrix plus one block of cells as strings.
-_BLOCK_CELLS = 2**14
-
-
-def _first_undecodable_line(path):
-    """The first line of ``path`` that is not UTF-8, counting lines as the
-    text layer does (a lone carriage return ends one too); line 1 may
-    start with a byte-order mark."""
-    with open(path, "rb") as fh:
-        lines = (part for raw in fh for part in raw.splitlines())
-        for line, part in enumerate(lines, 1):
+def _decoded_lines(fh):
+    """The lines of the binary file ``fh``, each decoded where it is read
+    (line 1 as ``utf-8-sig``, so a byte-order mark is allowed) and split
+    as the text layer splits them: a lone carriage return ends a line too.
+    CsvParseError on the first line that is not UTF-8."""
+    line = 0
+    for raw in fh:
+        for part in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
+            line += 1
             try:
-                part.decode("utf-8-sig" if line == 1 else "utf-8")
+                yield part.decode("utf-8-sig" if line == 1 else "utf-8")
             except UnicodeDecodeError:
-                return line
+                raise CsvParseError(line, "", "not UTF-8 text") from None
 
 
-def _read_rows(reader, count, path):
-    """Up to ``count`` rows of ``reader`` over the file ``path``, the file
-    line each starts on (then the line after them; a quoted newline makes
-    a row span lines), and the CsvParseError of the row that stopped it
-    early (None if none did)."""
-    rows, lines = [], [reader.line_num + 1]
+def _rows(reader):
+    """The rows of the CSV ``reader``; CsvParseError for a row it cannot
+    split, naming the line it stopped on."""
     try:
-        for row in islice(reader, count):
-            rows.append(row)
-            lines.append(reader.line_num + 1)
+        yield from reader
     except csv.Error as exc:
-        return rows, lines, CsvParseError(reader.line_num, "", str(exc))
-    except UnicodeDecodeError:  # its position is within the chunk being decoded
-        return rows, lines, CsvParseError(_first_undecodable_line(path), "", "not UTF-8 text")
-    return rows, lines, None
+        raise CsvParseError(reader.line_num, "", str(exc)) from None
 
 
-def _parse_rows(rows, width, group_idx, col_idx, label_map):
-    """The group labels and the (rows, features) values of ``rows``, by
-    one cast of every feature cell to float and one finiteness check;
-    None if any row has the wrong width, an unmapped label, or a cell
-    that is not a finite number."""
-    if any(len(row) != width for row in rows):
-        return None
-    try:
-        labels = [label_map[row[group_idx]] for row in rows]
-        # float() reads each cell; one column's getter gives bare cells
-        values = np.array(list(map(itemgetter(*col_idx), rows)), dtype=float)
-        values = values.reshape(len(rows), len(col_idx))
-    except (KeyError, ValueError):
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return labels, values
-
-
-def _parse_rows_per_cell(rows, lines, header, group_idx, col_idx, feature_cols, label_map):
-    """``_parse_rows`` row by row and cell by cell, raising at the first
-    malformed row or cell with its 1-based line; ``rows[i]`` starts on
-    line ``lines[i]``."""
-    labels = []
-    values = np.empty((len(rows), len(col_idx)))
-    for i, (row, line) in enumerate(zip(rows, lines)):
-        if len(row) != len(header):
-            raise CsvParseError(line, "", f"expected {len(header)} fields, got {len(row)}")
-        raw_label = row[group_idx]
-        if raw_label not in label_map:
-            raise UnknownGroupLabelError(
-                f"line {line}: group label {raw_label!r} is none of the "
-                f"group_order (--groups) labels {list(label_map)}"
-            )
-        vec = values[i]
-        for j, ci in enumerate(col_idx):
-            try:
-                vec[j] = float(row[ci])
-            except ValueError:
-                raise CsvParseError(
-                    line, feature_cols[j], f"not a number: {row[ci]!r}"
-                ) from None
-            if not math.isfinite(vec[j]):
-                raise CsvParseError(line, feature_cols[j], "non-finite value")
-        labels.append(label_map[raw_label])
-    return labels, values
+def _check_finite(values, lines, feature_cols):
+    """CsvParseError at the first value of ``values`` that is not finite;
+    ``values`` holds the feature cells of rows that start on ``lines``,
+    row by row."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = divmod(int(finite.argmin()), len(feature_cols))
+        raise CsvParseError(lines[row], feature_cols[col], "non-finite value") from None
 
 
 def _header_columns(header, config):
@@ -199,6 +150,11 @@ def _header_columns(header, config):
     ]
     if not feature_cols:
         raise CsvParseError(1, "", "no feature column")
+    # such as a written row index (",x,y,g") or a trailing comma ("x,y,g,")
+    if "" in feature_cols and not config.feature_columns:
+        raise CsvParseError(
+            1, "", "unnamed column would be a feature; name it or choose features with --features"
+        )
     if config.group_column in feature_cols:
         raise CsvParseError(1, config.group_column, "group column cannot be a feature")
     missing = [c for c in feature_cols if c not in header]
@@ -211,47 +167,57 @@ def _header_columns(header, config):
 def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
     """Read an RFC-4180 CSV with a header into a GroupedDataset.
 
-    The header is checked before any row is read: a UTF-8 byte-order mark
-    is ignored, and a column name repeated in the header or in the
-    feature list is rejected. Rows are then read and parsed in blocks of
-    about ``_BLOCK_CELLS`` cells (at least one row), so the loader holds
-    the feature matrix plus one block of cells. The first malformed row
-    or cell in file order raises CsvParseError carrying its 1-based file
-    line, as does a row the CSV reader cannot split or a line that is not
-    UTF-8; group labels must be covered by the configured A/B/C mapping.
+    The file is read once, line by line, and each row is checked as it is
+    read, so the first defect in file order is raised with its 1-based
+    file line: a header that does not fit ``config`` (a UTF-8 byte-order
+    mark is ignored, a repeated or unnamed column is rejected), a line
+    that is not UTF-8, a row the CSV reader cannot split or of the wrong
+    width, a group label outside the A/B/C mapping
+    (UnknownGroupLabelError), or a feature cell that ``float()`` cannot
+    read or reads as not finite.  The loader holds the values read so far
+    and one row of cells as strings.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        first, _, error = _read_rows(reader, 1, path)
-        if error is not None:
-            raise error
-        if not first:
+    with open(path, "rb") as fh:
+        reader = csv.reader(_decoded_lines(fh))
+        rows = _rows(reader)
+        header = next(rows, None)
+        if header is None:
             raise CsvParseError(1, "", "empty file, header row required")
-        header = first[0]
-
         group_idx, feature_cols, col_idx = _header_columns(header, config)
         label_map = {v: k for k, v in config.group_order.items()}
-        block_rows = max(1, _BLOCK_CELLS // len(header))
-        labels, blocks = [], []
-        while True:
-            rows, lines, error = _read_rows(reader, block_rows, path)
-            # the per-cell pass reads the same values, and names the first bad cell
-            parsed = _parse_rows(rows, len(header), group_idx, col_idx, label_map)
-            block_labels, block_values = parsed or _parse_rows_per_cell(
-                rows, lines, header, group_idx, col_idx, feature_cols, label_map
-            )
-            labels += block_labels
-            blocks.append(block_values)
-            full = len(rows) == block_rows
-            del rows  # free the block's strings before the next is read
-            if error is not None:
-                raise error
-            if not full:
-                break
-    values = np.concatenate(blocks)
-    del blocks  # GroupedDataset copies the matrix again
+        # a getter of one index returns the bare cell, not a 1-tuple
+        cells = itemgetter(*col_idx) if len(col_idx) > 1 else lambda row: (row[col_idx[0]],)
+        labels, values, lines = [], array("d"), array("q")
+        try:
+            line = reader.line_num + 1  # the line the next row starts on
+            for row in rows:
+                if len(row) != len(header):
+                    raise CsvParseError(line, "", f"expected {len(header)} fields, got {len(row)}")
+                label = label_map.get(row[group_idx])
+                if label is None:
+                    raise UnknownGroupLabelError(
+                        f"line {line}: group label {row[group_idx]!r} is none of the "
+                        f"group_order (--groups) labels {list(label_map)}"
+                    )
+                labels.append(label)
+                lines.append(line)
+                try:
+                    values.fromlist(list(map(float, cells(row))))
+                except ValueError:
+                    # the row's cells before the bad one join the finiteness check
+                    for name, cell in zip(feature_cols, cells(row)):
+                        try:
+                            values.append(float(cell))
+                        except ValueError:
+                            raise CsvParseError(line, name, f"not a number: {cell!r}") from None
+                line = reader.line_num + 1
+        except (CsvParseError, UnknownGroupLabelError):
+            # finiteness is checked in bulk: a value read before the defect comes first
+            _check_finite(values, lines, feature_cols)
+            raise
+    _check_finite(values, lines, feature_cols)
 
     present = set(labels)
     if len(present) < 3:
@@ -260,7 +226,7 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
             f"groups missing from the data: {absent}"
         )
     return GroupedDataset(
-        features=values,
+        features=np.frombuffer(values).reshape(-1, len(col_idx)),
         labels=np.array(labels, dtype=object),
         feature_names=tuple(feature_cols),
     )

@@ -24,8 +24,11 @@ The two systems are linked by the fixed linear map::
 All functions are pure; the value types are frozen dataclasses.
 
 The scalar functions are the paper's exposition and the tests' reference.
-The program's statistics come from the vectorized ``_centroid_shape_stats``;
-the SVD gives only the observed r, phi, u, v and tau the report prints.
+The program's statistics come from the vectorized ``_centroid_shape_stats``.
+Of the scalar functions, the SVD gives the observed r, phi, u, v and tau
+the report prints; each region record's shape point and side lengths come
+from ``ShapePoint.from_rect`` and ``sides_from_shape``, and the SVG's
+glyphs from ``SideLengths`` and ``configuration_from_sides``.
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ from ibistat import (
 from ibistat.cli import main
 from ibistat.datasets import iris_csv_path
 from ibistat.report import (
-    _parse_rows,
-    _parse_rows_per_cell,
+    AnalysisConfig,
     dumps_report,
     load_csv,
     run_analysis,
@@ -34,7 +33,7 @@ from ibistat.report import (
 from ibistat.sampling import sample_grouped_dataset
 from ibistat.svgplot import svg_from_report
 from _oracles import glyph_count, is_well_formed_xml
-from conftest import IRIS_FEATURES, IRIS_GROUPS, iris_config
+from conftest import iris_config
 
 
 def write_csv(path, text):
@@ -98,22 +97,6 @@ def test_load_csv_rejects_blank_line_and_nan_cell(tmp_path, text, message):
     with pytest.raises(CsvParseError) as err:
         load_csv(path, abc_config(path))
     assert str(err.value) == message
-
-
-def test_load_csv_whole_file_pass_reads_the_bits_of_the_per_cell_pass():
-    path = iris_csv_path()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header, *rows = csv.reader(fh)
-    cfg = iris_config()
-    group = header.index("species")
-    cols = [header.index(c) for c in IRIS_FEATURES]
-    label_map = {v: k for k, v in IRIS_GROUPS.items()}
-    labels, values = _parse_rows(rows, len(header), group, cols, label_map)
-    lines = range(2, 2 + len(rows))
-    ref_labels, ref_values = _parse_rows_per_cell(rows, lines, header, group, cols, IRIS_FEATURES, label_map)
-    assert labels == ref_labels
-    assert values.tobytes() == ref_values.tobytes()
-    assert load_csv(path, cfg).features.tobytes() == ref_values.tobytes()
 
 
 def test_load_csv_reads_cells_as_python_float_does(tmp_path):
@@ -182,13 +165,23 @@ def test_load_csv_rejects_a_header_without_a_feature_column(tmp_path):
         load_csv(path, abc_config(path))
 
 
+@pytest.mark.parametrize("text", [
+    ",x,y,g\n0,1,2,a\n1,3,4,b\n2,5,6,c\n3,7,8,a\n4,9,1,b\n5,2,3,c\n",  # a written row index
+    "x,y,g,\n1,2,a,\n3,4,b,\n5,6,c,\n7,8,a,\n9,1,b,\n2,3,c,\n",  # a trailing comma
+], ids=["index", "trailing-comma"])
+def test_load_csv_rejects_an_unnamed_column_as_a_feature(tmp_path, text):
+    path = write_csv(tmp_path / "unnamed.csv", text)
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, abc_config(path))
+    assert (err.value.line, err.value.column) == (1, "")
+    assert "--features" in str(err.value)
+    # with the features named, the unnamed column is ignored like any other
+    ds = load_csv(path, abc_config(path, features=("x", "y")))
+    assert ds.features.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8], [9, 1], [2, 3]]
+
+
 # ---------------------------------------------------------------------------
-# CSV loading in row blocks
-
-
-def rows_per_block(monkeypatch, rows, width):
-    """Make load_csv read ``rows`` rows of ``width`` fields per block."""
-    monkeypatch.setattr("ibistat.report._BLOCK_CELLS", rows * width)
+# CSV loading: the first defect in file order
 
 
 def abc_csv(tmp_path, n_rows, replaced=None):
@@ -197,42 +190,37 @@ def abc_csv(tmp_path, n_rows, replaced=None):
     rows = [f"{i},{i + 0.5},{'abc'[i % 3]}" for i in range(n_rows)]
     for line, row in (replaced or {}).items():
         rows[line - 2] = row
-    return write_csv(tmp_path / "blocks.csv", "x,y,g\n" + "".join(r + "\n" for r in rows))
+    return write_csv(tmp_path / "rows.csv", "x,y,g\n" + "".join(r + "\n" for r in rows))
 
 
-# blocks of 3 rows start on lines 2, 5, 8 and 11
 @pytest.mark.parametrize("line", [2, 4, 5, 7, 9, 13])
 @pytest.mark.parametrize("row, message", [
     ("1,oops,a", "column 'y': not a number: 'oops'"),
     ("1,a", "column '': expected 3 fields, got 2"),
 ])
-def test_load_csv_names_the_true_line_in_any_block(tmp_path, monkeypatch, line, row, message):
-    rows_per_block(monkeypatch, 3, 3)
+def test_load_csv_names_the_true_line_of_a_bad_row(tmp_path, line, row, message):
     path = abc_csv(tmp_path, 12, {line: row})
     with pytest.raises(CsvParseError) as err:
         load_csv(path, abc_config(path))
     assert str(err.value) == f"line {line}, {message}"
 
 
-def test_load_csv_reports_the_first_of_two_bad_blocks(tmp_path, monkeypatch):
-    rows_per_block(monkeypatch, 3, 3)
+def test_load_csv_reports_the_first_of_three_bad_rows(tmp_path):
     path = abc_csv(tmp_path, 12, {6: "1,nan,b", 9: "1,oops,c", 10: "1,a"})
     with pytest.raises(CsvParseError) as err:
         load_csv(path, abc_config(path))
     assert str(err.value) == "line 6, column 'y': non-finite value"
 
 
-def test_load_csv_unknown_label_in_an_early_block_wins(tmp_path, monkeypatch):
-    rows_per_block(monkeypatch, 3, 3)
+def test_load_csv_an_earlier_unknown_label_wins(tmp_path):
     path = abc_csv(tmp_path, 12, {3: "1,2,zzz", 6: "1,oops,c"})
     with pytest.raises(UnknownGroupLabelError, match="^line 3: group label 'zzz'"):
         load_csv(path, abc_config(path))
 
 
-def test_load_csv_reader_error_comes_in_file_order(tmp_path, monkeypatch):
+def test_load_csv_reader_error_comes_in_file_order(tmp_path):
     # a row the CSV reader cannot split names its line like a bad cell,
-    # and a bad cell before it in the same block is reported first
-    rows_per_block(monkeypatch, 3, 3)
+    # and a bad cell before it is reported first
     long_row = "1," + "2" * (csv.field_size_limit() + 1) + ",a"
     limit = f"field larger than field limit ({csv.field_size_limit()})"
     path = abc_csv(tmp_path, 12, {7: long_row})
@@ -243,21 +231,64 @@ def test_load_csv_reader_error_comes_in_file_order(tmp_path, monkeypatch):
         load_csv(path, abc_config(path))
 
 
+@pytest.mark.parametrize("later", [
+    "1,oops,b",  # a bad number
+    "1,2,zzz",  # an unknown label
+    "1,2",  # a row of the wrong width
+    "1,2,\udce9",  # bytes that are not UTF-8
+])
+def test_load_csv_non_finite_value_comes_before_a_later_defect(tmp_path, later):
+    # finiteness is checked in bulk, but a non-finite value is still
+    # reported before any defect on a later line
+    text = "x,y,g\n1,2,a\n3,inf,b\n5,6,c\n" + later + "\n7,8,a\n"
+    path = tmp_path / "inf.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(CsvParseError, match="^line 3, column 'y': non-finite value$"):
+        load_csv(str(path), abc_config(str(path)))
+
+
+def test_load_csv_non_finite_value_comes_before_a_bad_cell_of_its_row(tmp_path):
+    path = write_csv(tmp_path / "row.csv", "x,y,z,g\n1,2,3,a\n4,-inf,oops,b\n")
+    with pytest.raises(CsvParseError, match="^line 3, column 'y': non-finite value$"):
+        load_csv(path, abc_config(path))
+
+
+@pytest.mark.parametrize("data, message", [
+    # the header does not name the group column g
+    (b"x,y,h\n1,2,a\n3,4,b\n5,6,c\n7,\xff8,a\n", "line 1, column 'g': group column not in header"),
+    (b"x,y,g\n1,2,a\n3,abc,b\n5,6,c\n7,\xff8,a\n", "line 3, column 'y': not a number: 'abc'"),
+], ids=["header", "number"])
+def test_load_csv_defect_comes_before_later_bytes_that_are_not_utf8(tmp_path, data, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(CsvParseError) as err:
+        load_csv(str(path), abc_config(str(path)))
+    assert str(err.value) == message
+
+
+def test_load_csv_bad_cell_comes_before_bad_bytes_in_the_same_chunk(tmp_path):
+    # past 3,000 good rows, a bad cell on line 3002 and bad bytes on line
+    # 3013, both in one 8 KiB chunk of the file
+    text = Path(abc_csv(tmp_path, 3020, {3002: "1,oops,a"})).read_bytes()
+    lines = text.splitlines(keepends=True)
+    lines[3012] = lines[3012].replace(b",", b",\xe9", 1)
+    assert sum(map(len, lines[:3001])) // 8192 == sum(map(len, lines[:3012])) // 8192
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(CsvParseError, match="^line 3002, column 'y': not a number: 'oops'$"):
+        load_csv(str(path), abc_config(str(path)))
+
+
 # the quoted cell holding a newline makes the first row span lines 2 and 3
 SPANNING_CSV = 'x,note,g\n1,"a\nb",a\n2,ok,b\n3,ok,c\n{row}\n'
 
 
-# in blocks of 1 or 2 rows the bad row is in a later block than the
-# spanning one, in blocks of 50 in the same
-@pytest.mark.parametrize("rows", [1, 2, 50])
 @pytest.mark.parametrize("row, message", [
     ("zz,ok,a", "line 6, column 'x': not a number: 'zz'"),
     ("4,a", "line 6, column '': expected 3 fields, got 2"),
+    ("-nan,ok,a", "line 6, column 'x': non-finite value"),
 ])
-def test_load_csv_names_the_line_a_row_starts_on_after_a_spanning_cell(
-    tmp_path, monkeypatch, rows, row, message
-):
-    rows_per_block(monkeypatch, rows, 3)
+def test_load_csv_names_the_line_a_row_starts_on_after_a_spanning_cell(tmp_path, row, message):
     path = write_csv(tmp_path / "spanning.csv", SPANNING_CSV.format(row=row))
     with pytest.raises(CsvParseError) as err:
         load_csv(path, abc_config(path, features=("x",)))
@@ -320,22 +351,13 @@ QUOTED_CSV = (
 )
 
 
-@pytest.mark.parametrize("rows", [1, 2, 7, 50])
-def test_load_csv_in_row_blocks_reads_the_bytes_of_one_block(tmp_path, monkeypatch, rows):
-    # 50 rows of iris end in an empty block, 7 in a short one
+def test_load_csv_reads_quoted_cells(tmp_path):
     quoted = write_csv(tmp_path / "quoted.csv", QUOTED_CSV)
-    groups = {"A": "a", "B": "b", "C": "c"}
-    configs = [iris_config(), iris_config(features=("x", "y"), input_path=quoted,
-                                          group_column="g", group_order=groups)]
-    whole = [load_csv(cfg.input_path, cfg) for cfg in configs]
-    for cfg, one_block in zip(configs, whole):
-        with open(cfg.input_path, newline="", encoding="utf-8-sig") as fh:
-            width = len(next(csv.reader(fh)))
-        rows_per_block(monkeypatch, rows, width)
-        blocks = load_csv(cfg.input_path, cfg)
-        assert blocks.features.tobytes() == one_block.features.tobytes()
-        assert blocks.labels.tolist() == one_block.labels.tolist()
-    assert whole[1].n == 7
+    ds = load_csv(quoted, abc_config(quoted, features=("x", "y")))
+    assert ds.n == 7
+    expected = [[1.5, 2], [2, -0.0], [30, 4], [40, 5.25], [5, 6], [-6, 7], [7, 1e-320]]
+    assert ds.features.tobytes() == np.array(expected).tobytes()
+    assert ds.labels.tolist() == ["A", "B", "C", "A", "B", "C", "A"]
 
 
 @pytest.mark.parametrize("rows, features", [(20_000, 16), (200, 2_000)])
@@ -352,8 +374,7 @@ def test_load_csv_memory_stays_bounded(tmp_path, rows, features):
     finally:
         tracemalloc.stop()
     assert ds.features.tobytes() == values.tobytes()
-    # the blocks' values and the matrix they are joined into, or the
-    # values read so far and one block of 2^14 cells as strings
+    # the values read and the dataset's copy of them
     assert peak < 2.5 * ds.features.nbytes + 2**21
 
 
@@ -1007,6 +1028,21 @@ def test_analyze_text_argparse_cannot_parse_exits_2(capsys, option, value):
         ])
     assert exit_.value.code == 2
     assert f"argument {option}:" in capsys.readouterr().err
+
+
+def test_minimal_analyze_command_builds_the_default_config(monkeypatch, capsys):
+    seen = []
+
+    def stop(path, config):
+        seen.append(config)
+        raise CsvParseError(1, "", "stop")
+
+    monkeypatch.setattr("ibistat.cli.load_csv", stop)
+    args = ["analyze", "--input", "in.csv", "--group-col", "g", "--groups", "A=a,B=b,C=c"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "ibistat: error: line 1, column '': stop\n"
+    groups = {"A": "a", "B": "b", "C": "c"}
+    assert seen == [AnalysisConfig(input_path="in.csv", group_column="g", group_order=groups)]
 
 
 def test_config_rejects_an_unknown_standardize_mode():

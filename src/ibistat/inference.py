@@ -565,10 +565,7 @@ class ConfidenceRegion:
     depth_threshold: float
     member_indices: np.ndarray  # replicate indices into the ensemble
     member_points: np.ndarray  # (m, 2) of (u, v)
-    member_taus: np.ndarray
-    deepest: int  # position of the deepest member (first on ties)
-    hull: np.ndarray  # (h, 2) polygon vertices
-    area: float
+    area: float  # of the members' convex hull
 
 
 def _hull_and_area(points: np.ndarray) -> tuple:
@@ -595,10 +592,10 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
     smallest achievable covering fraction at or above the target.  With
     c = ceil(level * n) for n valid replicates, that is the (n - c)-th
     smallest depth: the c deepest points reach it, and any larger value
-    leaves out that point and every point below it.  Threshold, members
-    and deepest member are those the depth of every valid point against
-    the valid cloud would give, but only the depths deciding them are
-    computed (``_RegionDepths``), once per ensemble for all levels.
+    leaves out that point and every point below it.  Threshold and
+    members are those the depth of every valid point against the valid
+    cloud would give, but only the depths deciding them are computed
+    (``_RegionDepths``), once per ensemble for all levels.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -610,33 +607,31 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
     depths = ens._region_depths
     threshold, member = depths.region(math.ceil(level * valid.size))
     points = depths.cloud[member]
-    hull, area = _hull_and_area(points)
     return ConfidenceRegion(
         level=float(level),
         depth_threshold=threshold,
         member_indices=valid[member],
         member_points=points,
-        member_taus=ens.tau[valid[member]],
-        deepest=int(np.count_nonzero(member[: np.argmax(depths.region(1)[1])])),
-        hull=hull,
-        area=area,
+        area=_hull_and_area(points)[1],
     )
 
 
-def region_summary(cr: ConfidenceRegion) -> dict:
+def region_summary(ens: BootstrapEnsemble, cr: ConfidenceRegion) -> dict:
     """The report's records ``{u, v, tau, a2, b2, c2, replicate}`` of the
-    deepest member ("median") and the members with extreme tau ("max_tau",
-    "min_tau"; ties: the smallest replicate index, the first occurrence)."""
-    if cr.member_points.shape[0] == 0:
-        raise InsufficientReplicatesError("empty confidence region")
-    taus = cr.member_taus
+    ensemble's deepest valid replicate ("median", in every region) and the
+    members of ``cr`` with extreme tau ("max_tau", "min_tau"), first on ties."""
+    taus = ens.tau[cr.member_indices]
     summary = {}
-    for name, pos in ("median", cr.deepest), ("max_tau", taus.argmax()), ("min_tau", taus.argmin()):
-        sp = ShapePoint.from_rect(*map(float, cr.member_points[pos]))
+    for name, rep in (
+        ("median", np.flatnonzero(ens.valid_mask())[np.argmax(ens._region_depths.region(1)[1])]),
+        ("max_tau", cr.member_indices[taus.argmax()]),
+        ("min_tau", cr.member_indices[taus.argmin()]),
+    ):
+        sp = ShapePoint.from_rect(float(ens.u[rep]), float(ens.v[rep]))
         sides = sides_from_shape(sp)
         summary[name] = {
-            "u": sp.u, "v": sp.v, "tau": float(taus[pos]), "a2": sides.a2, "b2": sides.b2,
-            "c2": sides.c2, "replicate": int(cr.member_indices[pos]),
+            "u": sp.u, "v": sp.v, "tau": float(ens.tau[rep]), "a2": sides.a2, "b2": sides.b2,
+            "c2": sides.c2, "replicate": int(rep),
         }
     return summary
 

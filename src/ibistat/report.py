@@ -97,6 +97,11 @@ class AnalysisConfig:
             raise ValueError(f"seed (--seed) must be >= 0, got {self.seed}")
         if self.standardize_mode not in STANDARDIZE_MODES:
             raise ValueError(f"standardize_mode (--standardize) must be one of {STANDARDIZE_MODES}")
+        repeated = [c for c, count in Counter(self.feature_columns).items() if count > 1]
+        if repeated:
+            raise ValueError(f"feature_columns (--features) name {repeated[0]!r} more than once")
+        if self.group_column in self.feature_columns:
+            raise ValueError(f"feature_columns (--features) name --group-col {self.group_column!r}")
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
         object.__setattr__(self, "levels", tuple(float(lv) for lv in self.levels))
 
@@ -138,10 +143,9 @@ def _check_finite(values, lines, feature_cols):
 def _header_columns(header, config):
     """The group column's index, the feature columns and their indices
     in ``header``; CsvParseError on line 1 if they do not fit it."""
-    for names in (header, config.feature_columns):
-        repeated = [c for c, count in Counter(names).items() if count > 1]
-        if repeated:
-            raise CsvParseError(1, repeated[0], "column named more than once")
+    repeated = [c for c, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise CsvParseError(1, repeated[0], "column named more than once")
     if config.group_column not in header:
         raise CsvParseError(1, config.group_column, "group column not in header")
     group_idx = header.index(config.group_column)
@@ -155,8 +159,6 @@ def _header_columns(header, config):
         raise CsvParseError(
             1, "", "unnamed column would be a feature; name it or choose features with --features"
         )
-    if config.group_column in feature_cols:
-        raise CsvParseError(1, config.group_column, "group column cannot be a feature")
     missing = [c for c in feature_cols if c not in header]
     if missing:
         raise CsvParseError(1, missing[0], "feature column not in header")
@@ -263,7 +265,7 @@ def run_analysis(config: AnalysisConfig, ds: GroupedDataset) -> tuple:
             "member_count": int(cr.member_points.shape[0]),
             "depth_threshold": cr.depth_threshold,
             "area": cr.area,
-            **region_summary(cr),
+            **region_summary(ens, cr),
         }
 
     permutation = None

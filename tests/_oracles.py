@@ -60,9 +60,11 @@ def cloud_depths(ens) -> np.ndarray:
 def assert_region_matches_full_kernel(ens, levels) -> None:
     """The region of ``ens`` at each of ``levels`` is the one the depths
     of every valid point (``cloud_depths``) give: same threshold bits,
-    members, hull, area and deepest replicate (the first on ties).  The
-    count-1 search that finds the deepest point is checked on its own
-    depths as well as after the levels' searches on the ensemble's."""
+    members and area, and ``region_summary`` gives the records of the
+    deepest valid replicate and of the members with the largest and the
+    smallest tau (each the first on ties).  The count-1 search that finds
+    the deepest point is checked on its own depths as well as after the
+    levels' searches on the ensemble's."""
     from ibistat.inference import (
         _hull_and_area, _RegionDepths, confidence_region, region_summary,
     )
@@ -75,12 +77,22 @@ def assert_region_matches_full_kernel(ens, levels) -> None:
         cr = confidence_region(ens, level)
         threshold = float(np.sort(depths)[valid.size - math.ceil(level * valid.size)])
         member = depths >= threshold
-        hull, area = _hull_and_area(ens.valid_cloud()[member])
+        members = valid[member]
+        _, area = _hull_and_area(ens.valid_cloud()[member])
         assert cr.depth_threshold.hex() == threshold.hex(), (level, cr.depth_threshold, threshold)
-        np.testing.assert_array_equal(cr.member_indices, valid[member], err_msg=f"level {level}")
-        np.testing.assert_array_equal(cr.hull, hull, err_msg=f"level {level}")
+        np.testing.assert_array_equal(cr.member_indices, members, err_msg=f"level {level}")
         assert cr.area == area, (level, cr.area, area)
-        assert region_summary(cr)["median"]["replicate"] == valid[np.argmax(depths)], level
+        taus = ens.tau[members]
+        expected = {
+            "median": valid[np.argmax(depths)],
+            "max_tau": members[np.argmax(taus)],
+            "min_tau": members[np.argmin(taus)],
+        }
+        summary = region_summary(ens, cr)
+        assert list(summary) == list(expected)
+        for name, rep in expected.items():
+            assert summary[name]["replicate"] == rep, (level, name)
+            assert summary[name]["tau"] == ens.tau[rep], (level, name)
 
 
 def reference_bootstrap(ds, k, seed) -> dict:

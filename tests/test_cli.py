@@ -152,11 +152,9 @@ def test_load_csv_rejects_repeated_column_names(tmp_path):
     with pytest.raises(CsvParseError) as err:
         load_csv(dup, iris_config(input_path=dup, group_column="grp"))
     assert (err.value.line, err.value.column) == (1, "x")
-    plain = write_csv(tmp_path / "plain.csv", "x,y,grp\n" + rows)
-    cfg = iris_config(features=("y", "x", "y"), input_path=plain, group_column="grp")
-    with pytest.raises(CsvParseError) as err:
-        load_csv(plain, cfg)
-    assert (err.value.line, err.value.column) == (1, "y")
+    # a column named twice in --features is the options' conflict, not the file's
+    with pytest.raises(ValueError, match=r"^feature_columns \(--features\) name 'y' more than once$"):
+        iris_config(features=("y", "x", "y"), input_path=dup, group_column="grp")
 
 
 def test_load_csv_rejects_a_header_without_a_feature_column(tmp_path):
@@ -867,6 +865,20 @@ def test_input_name_that_is_not_utf8_fails_before_the_report_is_touched(tmp_path
     assert report.read_bytes() == b'{"kept": true}\n'
     err = capsys.readouterr().err
     assert err.startswith("ibistat: error:") and "(--input) is not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("features, message", [
+    ("petal_length,petal_length", "feature_columns (--features) name 'petal_length' more than once"),
+    ("sepal_width,species", "feature_columns (--features) name --group-col 'species'"),
+], ids=["repeated", "group-column"])
+def test_analyze_features_conflicts_fail_before_the_input_is_read(tmp_path, capsys, features, message):
+    # both are conflicts between options, known without the file
+    code = main([
+        "analyze", "--input", str(tmp_path / "missing.csv"), "--group-col", "species",
+        "--groups", "A=setosa,B=versicolor,C=virginica", "--features", features,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"ibistat: error: {message}\n"
 
 
 @pytest.mark.parametrize("features", ["petal_length,,sepal_width,", ",petal_length", "petal_length,"])

@@ -797,8 +797,10 @@ def test_confidence_region_member_fraction(iris_ds):
 def test_confidence_region_hull_contains_members(iris_ds):
     ens = stratified_bootstrap(iris_ds, k=500, seed=6)
     cr = confidence_region(ens, 0.8)
-    # every member point inside (or on) the hull: check via support function
-    hull = cr.hull
+    # the area is the members' hull's, and every member point lies inside
+    # (or on) that hull: check via support function
+    hull, area = inference._hull_and_area(cr.member_points)
+    assert cr.area == area
     centroid = hull.mean(axis=0)
     for edge_start, edge_end in zip(hull, np.roll(hull, -1, axis=0)):
         edge = edge_end - edge_start
@@ -987,7 +989,7 @@ def test_hull_and_area_matches_rule_that_checks_distinct_points_first(points):
 def test_region_summary_extremes(iris_ds):
     ens = stratified_bootstrap(iris_ds, k=2000, seed=8)
     cr = confidence_region(ens, 0.95)
-    summary = region_summary(cr)
+    summary = region_summary(ens, cr)
     assert summary["max_tau"]["tau"] >= 0.93
     assert summary["min_tau"]["tau"] <= 0.88
     assert summary["min_tau"]["tau"] <= summary["median"]["tau"] <= summary["max_tau"]["tau"]
@@ -1008,22 +1010,31 @@ def test_readme_library_use_block_runs(iris_ds):
         assert list(record) == ["u", "v", "tau", "a2", "b2", "c2", "replicate"]
 
 
-def test_region_summary_single_member():
-    from ibistat.inference import ConfidenceRegion
+def test_region_summary_single_member(iris_ds):
+    # of 200 valid replicates, a level of 0.004 keeps only the deepest one
+    ens = stratified_bootstrap(iris_ds, k=200, seed=0)
+    cr = confidence_region(ens, 0.004)
+    assert cr.member_indices.size == 1 and cr.area == 0.0
+    summary = region_summary(ens, cr)
+    assert {r["replicate"] for r in summary.values()} == {cr.member_indices[0]}
+    assert summary["median"] == summary["max_tau"] == summary["min_tau"]
 
-    cr = ConfidenceRegion(
-        level=0.5,
-        depth_threshold=1.0,
-        member_indices=np.array([4]),
-        member_points=np.array([[0.2, 0.1]]),
-        member_taus=np.array([0.27]),
-        deepest=0,
-        hull=np.array([[0.2, 0.1]]),
-        area=0.0,
-    )
-    summary = region_summary(cr)
-    assert summary["median"]["replicate"] == summary["max_tau"]["replicate"] == 4
-    assert summary["median"]["tau"] == summary["min_tau"]["tau"]
+
+def test_confidence_region_searches_its_own_level_only(monkeypatch, iris_ds):
+    # the deepest replicate is region_summary's to find, not every region's
+    calls = []
+    search = inference._RegionDepths.region
+
+    def counted(self, count):
+        calls.append(count)
+        return search(self, count)
+
+    monkeypatch.setattr(inference._RegionDepths, "region", counted)
+    ens = stratified_bootstrap(iris_ds, k=300, seed=4)
+    cr = confidence_region(ens, 0.8)
+    assert calls == [math.ceil(0.8 * 300)]
+    region_summary(ens, cr)
+    assert calls == [math.ceil(0.8 * 300), 1]
 
 
 # ---------------------------------------------------------------------------
@@ -1051,6 +1062,17 @@ def test_permutation_separated_clusters_tiny_p():
     ds = make_dataset(rng, n=20, offsets=offsets, spread=0.5)
     result = permutation_test(ds, k=1000, seed=0)
     assert 1.0 / 1001.0 <= result["p_tau"] <= 0.01
+
+
+@pytest.mark.xfail(strict=True, reason="at p = 1 rounding decides |gamma| >= |observed|")
+def test_permutation_p_gamma_is_one_at_p_equal_1():
+    # gamma is +-1 on every relabelling in exact arithmetic, so each one
+    # reaches the observed |gamma|; the computed p_gamma is 0.6367
+    from ibistat.datasets import iris_csv_path
+    from ibistat.report import load_csv
+
+    ds = standardize(load_csv(iris_csv_path(), iris_config(features=("petal_length",))), "feature")
+    assert permutation_test(ds, k=5000, seed=1)["p_gamma"] == 1.0
 
 
 def test_permutation_deterministic(iris_ds):

@@ -333,23 +333,22 @@ def _usable_cpus() -> int:
 
 
 def _resampled_means(
-    ds: GroupedDataset, feats: list, keys: np.ndarray, seed: int, domain: int, draw,
-    skip: int | None = None,
+    ds: GroupedDataset, feats: list, keys: np.ndarray, draw, skip: int | None = None
 ) -> np.ndarray:
     """The (3, K, p) group means of the K resampled centroid triangles
-    keyed by the K rows of ``keys``.
+    keyed by the K rows of ``keys``, Philox keys such as the rows of
+    ``stream_keys``.
 
-    Replicate j owns the stream (seed, domain, j), keyed by row j of
-    ``stream_keys``; ``keys`` may hold any of those rows, in any order.
     ``draw(rng, keys)`` takes one Philox generator and
     the key rows of a chunk of m replicates, and returns an (m, N) index
     matrix whose columns hold group A's indices into ``feats[0]``, then
-    B's into ``feats[1]``, then C's into ``feats[2]``.  Each worker
-    builds one generator with ``stream_generator`` for replicate 0 and
-    re-keys it for every replicate (``rekeyed_streams``), which gives the
-    same bits as a fresh generator per replicate.  Group ``skip``, if
-    given, is not gathered or summed, and its rows of the means are left
-    unset.
+    B's into ``feats[1]``, then C's into ``feats[2]``; it re-keys ``rng``
+    to each row before that replicate's first draw (``rekeyed_streams``),
+    which gives the bits of a fresh generator per replicate.  Each worker
+    builds one generator with ``stream_generator``, whose own key is
+    never used, so the means depend on the key rows alone.  Group
+    ``skip``, if given, is not gathered or summed, and its rows of the
+    means are left unset.
 
     Per replicate a chunk holds ``_replicate_values(n, p)`` values, and
     the chunks in flight together hold at most ``_CHUNK_VALUES``.  A
@@ -392,7 +391,7 @@ def _resampled_means(
     means = np.empty((3, k, ds.p))
 
     def work(first: int) -> None:
-        rng = stream_generator(seed, domain, 0)
+        rng = stream_generator(0)  # re-keyed before its first draw
         # every block of this worker is gathered into one buffer; a block
         # holds R m p values, at most the larger of _BLOCK_VALUES and m p
         buffer = np.empty(max(_BLOCK_VALUES, step * ds.p))
@@ -454,7 +453,7 @@ def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnse
         return bootstrap_indices(rng, keys, sizes)
 
     keys = stream_keys(seed, DOMAIN_BOOTSTRAP, k)
-    stats = _centroid_shape_stats(_resampled_means(ds, feats, keys, seed, DOMAIN_BOOTSTRAP, draw))
+    stats = _centroid_shape_stats(_resampled_means(ds, feats, keys, draw))
     return BootstrapEnsemble(
         tau=stats["tau"], gamma=stats["gamma"], u=stats["u"], v=stats["v"],
         seed=int(seed),
@@ -644,14 +643,12 @@ def region_summary(ens: BootstrapEnsemble, cr: ConfidenceRegion) -> dict:
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _permutation_means(
-    ds: GroupedDataset, keys: np.ndarray, seed: int, skip: int | None = None
-) -> np.ndarray:
-    """The exact kernel's (3, m, p) group means of the relabellings keyed
-    by ``keys``, rows of ``stream_keys(seed, DOMAIN_PERMUTATION, K)``:
-    relabelling j gives group A the first n_A rows of the
-    ``permutation(N)`` drawn from stream (seed, permutation, j), B the
-    next n_B and C the rest.  Group ``skip`` is left unsummed."""
+def _permutation_means(ds: GroupedDataset, keys: np.ndarray, skip: int | None = None) -> np.ndarray:
+    """The exact kernel's (3, m, p) group means of the m relabellings
+    keyed by the rows of ``keys``: a row's relabelling gives group A the
+    first n_A rows of the ``permutation(N)`` a Philox with that key
+    draws, B the next n_B and C the rest.  Group ``skip`` is left
+    unsummed."""
 
     def draw(rng, keys):
         # permutation(n) is arange(n) shuffled in place: the same draws
@@ -661,7 +658,7 @@ def _permutation_means(
             g.shuffle(row)
         return idx
 
-    return _resampled_means(ds, [ds.features] * 3, keys, seed, DOMAIN_PERMUTATION, draw, skip)
+    return _resampled_means(ds, [ds.features] * 3, keys, draw, skip)
 
 
 def _derived_mean_error(x: np.ndarray, n_big: int) -> float:
@@ -748,15 +745,6 @@ def _certified_counts(
     return [np.count_nonzero(e & decided) for e in exceeds], ~decided
 
 
-def _exceedances(stats: dict, observed: tuple) -> list:
-    """For tau and then gamma, the number of triangles of ``stats`` whose
-    |statistic| reaches the observed one's, or where it is undefined."""
-    return [
-        np.count_nonzero(~np.isfinite(stats[name]) | (np.abs(stats[name]) >= abs(obs)))
-        for name, obs in zip(("tau", "gamma"), observed)
-    ]
-
-
 def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
     """Label-shuffling test of the fully exchangeable null.
 
@@ -764,7 +752,9 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
     p = (1 + #{|stat_perm| >= |stat_obs|}) / (K + 1); permutations where
     a statistic is undefined count as exceeding, and an undefined
     observed statistic has p = 1.  Permutation j relabels the rows by
-    the ``permutation(N)`` of stream (seed, permutation, j).
+    the ``permutation(N)`` of stream (seed, permutation, j), keyed by row
+    j of ``stream_keys``; the kernel's generators are re-keyed to each
+    row before their first draw, so their own keys are never used.
 
     Each count is the one that the exact kernel's group means
     (``_permutation_means``), put through the statistics of the observed
@@ -774,10 +764,11 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
     total less theirs, and ``_derived_mean_error`` bounds how far its
     mean lies from the kernel's.  ``_certified_counts`` turns that into
     intervals for tau and gamma and decides every permutation whose
-    intervals do not hold |observed|; the rest are drawn again by their
-    keys and go through the exact kernel.  At p = 1 all go through the
-    exact kernel: gamma is +-1 in exact arithmetic, but the computed
-    |gamma| can round below 1, so rounding decides p_gamma.
+    intervals do not hold |observed|; the rest are undecided.  At p = 1
+    every permutation is undecided: gamma is +-1 in exact arithmetic, but
+    the computed |gamma| can round below 1, so rounding decides p_gamma.
+    The undecided permutations are drawn again by their keys and go
+    through the exact kernel in one pass.
     """
     if k < 1:
         raise ValueError("need at least one permutation")
@@ -785,13 +776,14 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
     observed = (float(obs["tau"][0]), float(obs["gamma"][0]))
     keys = stream_keys(seed, DOMAIN_PERMUTATION, k)
     if ds.p == 1:
-        # gamma is +-1 on every triangle of scalar means, up to rounding
-        counts = _exceedances(_centroid_shape_stats(_permutation_means(ds, keys, seed)), observed)
+        # gamma is +-1 on every triangle of scalar means, up to rounding,
+        # so no bound decides it
+        counts, undecided = [0, 0], np.ones(k, dtype=bool)
     else:
         sizes = [ds.n_per_group()[g] for g in GROUPS]
         big = int(np.argmax(sizes))
         first, second = (g for g in range(3) if g != big)
-        means = _permutation_means(ds, keys, seed, skip=big)
+        means = _permutation_means(ds, keys, skip=big)
         x = ds.features
         # (T - n1 m1 - n2 m2) / n_big in place, beside one (K, p) temporary
         derived = means[big]
@@ -803,9 +795,13 @@ def permutation_test(ds: GroupedDataset, k: int, seed: int) -> dict:
         counts, undecided = _certified_counts(
             means, big, _derived_mean_error(x, sizes[big]), scale, observed
         )
-        if undecided.any():
-            exact = _centroid_shape_stats(_permutation_means(ds, keys[undecided], seed))
-            counts = [c + e for c, e in zip(counts, _exceedances(exact, observed))]
+    if undecided.any():
+        # a statistic counts where it reaches |observed| or is undefined
+        stats = _centroid_shape_stats(_permutation_means(ds, keys[undecided]))
+        counts = [
+            c + np.count_nonzero(~np.isfinite(stats[name]) | (np.abs(stats[name]) >= abs(obs)))
+            for c, name, obs in zip(counts, ("tau", "gamma"), observed)
+        ]
     pvalues = [
         (1.0 + count) / (k + 1.0) if math.isfinite(obs) else 1.0
         for count, obs in zip(counts, observed)

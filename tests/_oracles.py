@@ -158,25 +158,25 @@ def permutation_means(ds, k, seed, skip=None) -> np.ndarray:
     from ibistat.sampling import DOMAIN_PERMUTATION, stream_keys
 
     keys = stream_keys(seed, DOMAIN_PERMUTATION, k)
-    return inference._permutation_means(ds, keys, seed, skip)
+    return inference._permutation_means(ds, keys, skip)
 
 
-def count_exact_permutations(monkeypatch) -> list:
-    """Record the number of permutations each call of the exact kernel
-    sums all three groups of: after the certified pass over all k, which
-    leaves one group unsummed, the permutations no bound decided."""
+def count_exact_permutations(monkeypatch) -> tuple:
+    """Record the calls of the exact kernel as ``(exact, certified)``:
+    ``exact`` gets the number of permutations of each call that sums all
+    three groups (the permutations no bound decided), ``certified`` that
+    of each call that leaves a group unsummed (the certified pass)."""
     from ibistat import inference
 
-    exact = []
+    exact, certified = [], []
     kernel = inference._permutation_means
 
-    def spy(ds, keys, seed, skip=None):
-        if skip is None:
-            exact.append(len(keys))
-        return kernel(ds, keys, seed, skip)
+    def spy(ds, keys, skip=None):
+        (exact if skip is None else certified).append(len(keys))
+        return kernel(ds, keys, skip)
 
     monkeypatch.setattr(inference, "_permutation_means", spy)
-    return exact
+    return exact, certified
 
 
 def glyph_count(svg: str) -> int:

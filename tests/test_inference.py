@@ -37,7 +37,7 @@ from ibistat import (
 )
 from ibistat.inference import _observed_triangle
 from ibistat.report import run_analysis
-from ibistat.sampling import DOMAIN_BOOTSTRAP, DOMAIN_PERMUTATION
+from ibistat.sampling import DOMAIN_BOOTSTRAP
 from ibistat.shape import _centroid_shape_stats
 from _oracles import (
     assert_region_matches_full_kernel,
@@ -471,10 +471,10 @@ def test_resampling_builds_one_generator_per_call(iris_ds, monkeypatch, k):
         expected = min(workers, -(-k // 4))
         calls.clear()
         stratified_bootstrap(iris_ds, k=k, seed=4)
-        assert calls == [(4, DOMAIN_BOOTSTRAP, 0)] * expected
+        assert calls == [(0,)] * expected
         calls.clear()
         permutation_test(iris_ds, k=k, seed=4)
-        assert calls == [(4, DOMAIN_PERMUTATION, 0)] * expected
+        assert calls == [(0,)] * expected
 
 
 def assert_ensemble_equals(ens, stats):
@@ -580,6 +580,35 @@ def test_permutation_matches_per_replicate_reference_in_row_blocks(monkeypatch, 
         np.testing.assert_array_equal(skipped[:2], reference[:2])
 
 
+def test_a_pass_depends_on_its_key_rows_alone(monkeypatch):
+    # each worker's generator is re-keyed before its first draw, so
+    # neither its own key nor a pending 32-bit half reaches a replicate
+    ds = unequal_dataset(3)
+    monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(7, ds))
+    ens = stratified_bootstrap(ds, k=WORKER_K, seed=5)
+    reference = {name: getattr(ens, name) for name in ("tau", "gamma", "u", "v")}
+    means = permutation_means(ds, WORKER_K, 3)
+    skipped = permutation_means(ds, WORKER_K, 3, skip=2)
+    calls = []
+
+    def other_generator(*args):
+        calls.append(args)
+        bitgen = np.random.Philox(key=[0x0123456789ABCDEF, 0xFEDCBA9876543210])
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, 0xDEADBEEF
+        bitgen.state = state
+        return np.random.Generator(bitgen)
+
+    monkeypatch.setattr(inference, "stream_generator", other_generator)
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        calls.clear()
+        assert_ensemble_equals(stratified_bootstrap(ds, k=WORKER_K, seed=5), reference)
+        np.testing.assert_array_equal(permutation_means(ds, WORKER_K, 3), means)
+        np.testing.assert_array_equal(permutation_means(ds, WORKER_K, 3, skip=2)[:2], skipped[:2])
+        assert len(calls) == 3 * workers
+
+
 def test_resampling_worker_error_propagates(iris_ds, monkeypatch):
     monkeypatch.setattr(inference, "_CHUNK_VALUES", chunk_values(4, iris_ds))
     use_workers(monkeypatch, 2)
@@ -593,7 +622,7 @@ def test_resampling_worker_error_propagates(iris_ds, monkeypatch):
 
     keys = sampling.stream_keys(1, DOMAIN_BOOTSTRAP, 40)
     with pytest.raises(RuntimeError, match="draw failed in a worker"):
-        inference._resampled_means(iris_ds, feats, keys, 1, DOMAIN_BOOTSTRAP, draw)
+        inference._resampled_means(iris_ds, feats, keys, draw)
 
 
 def test_resampling_more_workers_than_cores_with_fast_switching(monkeypatch):
@@ -1129,12 +1158,15 @@ CERTIFICATE_CASES = [
 @pytest.mark.parametrize("name", CERTIFICATE_CASES)
 def test_certified_pvalues_equal_the_exact_reference(monkeypatch, iris_ds, name):
     ds = certificate_dataset(name, iris_ds)
-    exact = count_exact_permutations(monkeypatch)
+    exact, certified = count_exact_permutations(monkeypatch)
     result = permutation_test(ds, k=299, seed=3)
     assert result == reference_permutation_pvalues(ds, 299, 3)
-    if ds.p == 1 or name == "huge":
-        # no bound decides gamma = +-1 at p = 1, nor does one that overflowed
-        assert exact == [299]
+    if ds.p == 1:
+        # no bound decides gamma = +-1, so no certified pass runs
+        assert certified == [] and exact == [299]
+    if name == "huge":
+        # a bound that overflowed decides nothing
+        assert certified == [299] and exact == [299]
     if name == "gamma-undefined":
         assert math.isnan(observed_ibi(ds, mode="none").gamma)
         assert result["p_gamma"] == 1.0
@@ -1143,9 +1175,9 @@ def test_certified_pvalues_equal_the_exact_reference(monkeypatch, iris_ds, name)
 def test_no_permutation_is_undecided_on_continuous_data(monkeypatch):
     rng = np.random.default_rng(21)
     ds = GroupedDataset(features=rng.normal(size=(600, 8)), labels=np.repeat(list("ABC"), 200))
-    exact = count_exact_permutations(monkeypatch)
+    exact, certified = count_exact_permutations(monkeypatch)
     result = permutation_test(ds, k=999, seed=2)
-    assert exact == []
+    assert certified == [999] and exact == []
     assert result == reference_permutation_pvalues(ds, 999, 2)
 
 
@@ -1155,7 +1187,7 @@ def test_tied_integer_data_sends_some_permutations_to_the_exact_kernel(monkeypat
     rng = np.random.default_rng(22)
     labels = rng.permutation(np.repeat(np.array(["A", "B", "C"]), (30, 20, 40)))
     ds = GroupedDataset(features=rng.integers(0, 2, size=(90, 2)).astype(float), labels=labels)
-    exact = count_exact_permutations(monkeypatch)
+    exact, _ = count_exact_permutations(monkeypatch)
     result = permutation_test(ds, k=999, seed=3)
     assert len(exact) == 1 and 0 < exact[0] < 999, exact
     assert result == reference_permutation_pvalues(ds, 999, 3)
@@ -1164,7 +1196,7 @@ def test_tied_integer_data_sends_some_permutations_to_the_exact_kernel(monkeypat
 def test_an_infinite_bound_sends_every_permutation_to_the_exact_kernel(monkeypatch, iris_ds):
     certified = permutation_test(iris_ds, k=300, seed=6)
     monkeypatch.setattr(inference, "_derived_mean_error", lambda *args: math.inf)
-    exact = count_exact_permutations(monkeypatch)
+    exact, _ = count_exact_permutations(monkeypatch)
     assert permutation_test(iris_ds, k=300, seed=6) == certified
     assert exact == [300]
     assert certified == reference_permutation_pvalues(iris_ds, 300, 6)

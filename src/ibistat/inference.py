@@ -315,6 +315,29 @@ _CHUNK_VALUES = 2**18
 # float64), so a block is reduced while it sits in a core's L2 cache.
 _BLOCK_VALUES = 2**16
 
+# Each thread's resampling buffer, kept between passes (``_chunk_arrays``)
+_WORKSPACE = threading.local()
+
+
+def _chunk_arrays(m: int, n: int, words: int, block: int) -> tuple:
+    """The calling thread's (m, n) int64 index matrix, (m, words) uint64
+    draw words and ``block`` float64 gather values, as views into one
+    buffer the thread keeps between passes.
+
+    The buffer grows to the largest chunk the thread has run and is never
+    shrunk, so a warm pass allocates no chunk-sized array: freeing one
+    would hand its pages back to the OS, and the next pass would fault
+    them in again.  It dies with its thread."""
+    shapes = ((m, n), (m, words), (block,))
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    buffer = getattr(_WORKSPACE, "buffer", None)
+    if buffer is None or buffer.size < ends[-1]:
+        buffer = _WORKSPACE.buffer = np.empty(ends[-1], dtype=np.int64)
+    return tuple(
+        buffer[lo:hi].view(dtype).reshape(shape)
+        for lo, hi, dtype, shape in zip(ends, ends[1:], (np.int64, np.uint64, float), shapes)
+    )
+
 
 def _replicate_values(n: int, p: int) -> int:
     """Values one replicate of n observations of p features holds in a
@@ -333,16 +356,22 @@ def _usable_cpus() -> int:
 
 
 def _resampled_means(
-    ds: GroupedDataset, feats: list, keys: np.ndarray, draw, skip: int | None = None
+    ds: GroupedDataset,
+    feats: list,
+    keys: np.ndarray,
+    draw,
+    skip: int | None = None,
+    words: int = 0,
 ) -> np.ndarray:
     """The (3, K, p) group means of the K resampled centroid triangles
     keyed by the K rows of ``keys``, Philox keys such as the rows of
     ``stream_keys``.
 
-    ``draw(rng, keys)`` takes one Philox generator and
-    the key rows of a chunk of m replicates, and returns an (m, N) index
-    matrix whose columns hold group A's indices into ``feats[0]``, then
-    B's into ``feats[1]``, then C's into ``feats[2]``; it re-keys ``rng``
+    ``draw(rng, keys, out, scratch)`` takes one Philox generator, the key
+    rows of a chunk of m replicates, an (m, N) int64 index matrix and an
+    (m, ``words``) uint64 scratch array, and fills ``out``: its columns
+    hold group A's indices into ``feats[0]``, then B's into ``feats[1]``,
+    then C's into ``feats[2]``.  It re-keys ``rng``
     to each row before that replicate's first draw (``rekeyed_streams``),
     which gives the bits of a fresh generator per replicate.  Each worker
     builds one generator with ``stream_generator``, whose own key is
@@ -352,17 +381,21 @@ def _resampled_means(
 
     Per replicate a chunk holds ``_replicate_values(n, p)`` values, and
     the chunks in flight together hold at most ``_CHUNK_VALUES``.  A
-    worker frees a chunk's indices, and every view into them, before it
-    draws the next, so it holds one chunk's indices and draw words plus
-    one gather block.  W workers run at once: at most one per usable
-    CPU (``_usable_cpus``), per full-size chunk of the K replicates, and
-    per replicate a full-size chunk holds, so each of their chunks holds
-    at least one replicate.  The calling thread is worker 0 and a thread
-    pool runs the others; worker i takes chunks i, i + W, ... and writes
-    only their rows of the means.  The gather and the sums release the
-    GIL, so the workers overlap.  With one chunk no thread is started.
-    Each replicate's means depend only on its own indices, so neither
-    the chunk size nor W changes a bit.
+    worker draws every chunk into the same index matrix and scratch and
+    gathers every block into the same buffer: its thread's kept arrays
+    (``_chunk_arrays``), at most 8 (``_CHUNK_VALUES`` + ``_BLOCK_VALUES``)
+    bytes whatever K is, while one replicate fits in a chunk.  The
+    calling thread keeps them for its later passes, which then fault in
+    no fresh pages; a pool thread's die with it.  W workers run at once:
+    at most one per usable CPU (``_usable_cpus``), per full-size chunk of
+    the K replicates, and per replicate a full-size chunk holds, so each
+    of their chunks holds at least one replicate.  The calling thread is
+    worker 0 and a thread pool runs the others; worker i takes chunks i,
+    i + W, ... and writes only their rows of the means.  The gather and
+    the sums release the GIL, so the workers overlap.  With one chunk no
+    thread is started.  Each replicate's means depend only on its own
+    indices, which every chunk writes in full before it reads them, so
+    neither the chunk size, nor W, nor an earlier pass changes a bit.
 
     Group g of a chunk of m replicates is summed over its n_g
     observations in row blocks: each block gathers the next R =
@@ -394,10 +427,14 @@ def _resampled_means(
         rng = stream_generator(0)  # re-keyed before its first draw
         # every block of this worker is gathered into one buffer; a block
         # holds R m p values, at most the larger of _BLOCK_VALUES and m p
-        buffer = np.empty(max(_BLOCK_VALUES, step * ds.p))
+        indices, scratch, buffer = _chunk_arrays(
+            step, ds.n, words, max(_BLOCK_VALUES, step * ds.p)
+        )
         for lo in range(first * step, k, workers * step):
-            idx = draw(rng, keys[lo : lo + step])
-            rows = max(1, _BLOCK_VALUES // (idx.shape[0] * ds.p))
+            chunk = keys[lo : lo + step]
+            idx = indices[: len(chunk)]
+            draw(rng, chunk, idx, scratch[: len(chunk)])
+            rows = max(1, _BLOCK_VALUES // (len(chunk) * ds.p))
             for g in range(3):
                 if g == skip:
                     continue
@@ -418,7 +455,6 @@ def _resampled_means(
                             block[0] += out  # carry the running sum
                         np.add.reduce(block, axis=0, out=out)
                 out /= sizes[g]
-            idx = cols = at = None  # free this chunk before the next draw
 
     if workers == 1:
         work(0)
@@ -449,11 +485,12 @@ def stratified_bootstrap(ds: GroupedDataset, k: int, seed: int) -> BootstrapEnse
     feats = [ds.group_features(g) for g in GROUPS]
     sizes = [len(f) for f in feats]
 
-    def draw(rng, keys):
-        return bootstrap_indices(rng, keys, sizes)
+    def draw(rng, keys, out, words):
+        bootstrap_indices(rng, keys, sizes, out, words)
 
     keys = stream_keys(seed, DOMAIN_BOOTSTRAP, k)
-    stats = _centroid_shape_stats(_resampled_means(ds, feats, keys, draw))
+    means = _resampled_means(ds, feats, keys, draw, words=(ds.n + 1) // 2)
+    stats = _centroid_shape_stats(means)
     return BootstrapEnsemble(
         tau=stats["tau"], gamma=stats["gamma"], u=stats["u"], v=stats["v"],
         seed=int(seed),
@@ -650,13 +687,11 @@ def _permutation_means(ds: GroupedDataset, keys: np.ndarray, skip: int | None = 
     draws, B the next n_B and C the rest.  Group ``skip`` is left
     unsummed."""
 
-    def draw(rng, keys):
+    def draw(rng, keys, out, scratch):
         # permutation(n) is arange(n) shuffled in place: the same draws
-        idx = np.empty((len(keys), ds.n), dtype=np.int64)
-        idx[:] = np.arange(ds.n)
-        for row, g in zip(idx, rekeyed_streams(rng, keys)):
+        out[:] = np.arange(ds.n)
+        for row, g in zip(out, rekeyed_streams(rng, keys)):
             g.shuffle(row)
-        return idx
 
     return _resampled_means(ds, [ds.features] * 3, keys, draw, skip)
 

@@ -15,8 +15,11 @@ blocks each at a tiny or the default size, and 1 to 3 workers.  ``stratified_boo
 the bits of ``reference_bootstrap``, the permutation test's exact kernel
 (with every group summed, and with the largest left unsummed) those of
 ``reference_permutation_means``, and ``permutation_test``'s p-values
-those the loops' means give (``_oracles.py``).  Prints one line per
-family and p, and exits 1 if any case differs.  Not collected by pytest.
+those the loops' means give (``_oracles.py``).  The cases then run a
+second time in the same process, largest dataset first, so each draws
+into arrays that a larger earlier case left on the thread.  Prints one
+line per pass, family and p, and exits 1 if any case differs.  Not
+collected by pytest.
 """
 
 from __future__ import annotations
@@ -125,9 +128,11 @@ def mismatches(c: dict) -> list:
     return bad
 
 
-def main() -> int:
+def sweep(order, title: str) -> bool:
+    """Runs the cases in ``order`` and prints their tallies; True if any
+    case differs."""
     results = {}  # (family, p): [cases, mismatches, seconds]
-    for i in range(CASES + TIE_CASES):
+    for i in order:
         c = case(i)
         start = time.perf_counter()
         bad = mismatches(c)
@@ -138,8 +143,18 @@ def main() -> int:
         if bad:
             print(f"  case {i} ({c['label']}): {', '.join(bad)} differ")
     for (family, p), (count, bad, seconds) in sorted(results.items()):
-        print(f"{family} p={p}: {count} cases, {bad} differing, {seconds:.1f} s")
-    return 1 if any(bad for _, bad, _ in results.values()) else 0
+        print(f"{title}: {family} p={p}: {count} cases, {bad} differing, {seconds:.1f} s")
+    return any(bad for _, bad, _ in results.values())
+
+
+def main() -> int:
+    cases = range(CASES + TIE_CASES)
+    differ = sweep(cases, "in case order")
+    # the same cases again, largest first: each draws into the arrays the
+    # resampling kernel kept on this thread from a larger one
+    size = {i: case(i)["ds"].features.size for i in cases}
+    differ |= sweep(sorted(cases, key=size.get, reverse=True), "largest first")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from ibistat import (
 )
 from ibistat.inference import _observed_triangle
 from ibistat.report import run_analysis
-from ibistat.sampling import DOMAIN_BOOTSTRAP
+from ibistat.sampling import DOMAIN_BOOTSTRAP, DOMAIN_PERMUTATION
 from ibistat.shape import _centroid_shape_stats
 from _oracles import (
     assert_region_matches_full_kernel,
@@ -615,14 +615,14 @@ def test_resampling_worker_error_propagates(iris_ds, monkeypatch):
     sizes = list(iris_ds.n_per_group().values())
     feats = [iris_ds.group_features(g) for g in inference.GROUPS]
 
-    def draw(rng, keys):
+    def draw(rng, keys, out, words):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("draw failed in a worker")
-        return sampling.bootstrap_indices(rng, keys, sizes)
+        sampling.bootstrap_indices(rng, keys, sizes, out, words)
 
     keys = sampling.stream_keys(1, DOMAIN_BOOTSTRAP, 40)
     with pytest.raises(RuntimeError, match="draw failed in a worker"):
-        inference._resampled_means(iris_ds, feats, keys, draw)
+        inference._resampled_means(iris_ds, feats, keys, draw, words=(iris_ds.n + 1) // 2)
 
 
 def test_resampling_more_workers_than_cores_with_fast_switching(monkeypatch):
@@ -686,8 +686,8 @@ def test_bootstrap_all_rows_redrawn_is_bit_identical(iris_ds, monkeypatch):
     vectorised = stratified_bootstrap(iris_ds, k=300, seed=12)
     lemire_bounded = sampling.lemire_bounded
 
-    def reject_all(words, bounds):
-        draws, rejected = lemire_bounded(words, bounds)
+    def reject_all(words, bounds, out=None):
+        draws, rejected = lemire_bounded(words, bounds, out)
         return draws, np.ones_like(rejected)
 
     monkeypatch.setattr(sampling, "lemire_bounded", reject_all)
@@ -697,16 +697,24 @@ def test_bootstrap_all_rows_redrawn_is_bit_identical(iris_ds, monkeypatch):
     assert_ensemble_equals(redone, vars(vectorised))
 
 
+def in_fresh_thread(call):
+    # call() on a new thread, whose kept resampling arrays start empty
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        return pool.submit(call).result(timeout=300)
+
+
 def assert_memory_stays_bounded(monkeypatch, resample, inputs, draw_values):
     # 3 groups of 2000 rows and 8 features, on 1 and then 2 workers; a
-    # replicate's draw holds draw_values(n) values at its peak
+    # replicate's draw holds draw_values(n) values at its peak.  Each
+    # pass runs on a fresh thread, so the arrays its calling thread keeps
+    # are allocated, and counted, inside it
     ds = make_dataset(np.random.default_rng(12), n=2000, p=8)
     calls = count_generators(monkeypatch)
     for workers in (1, 2):
         use_workers(monkeypatch, workers)
         tracemalloc.start()
         try:
-            resample(ds, k=400, seed=0)
+            in_fresh_thread(lambda: resample(ds, k=400, seed=0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -741,6 +749,116 @@ def test_bootstrap_memory_stays_bounded(monkeypatch):
 def test_permutation_memory_stays_bounded(monkeypatch):
     # the features themselves; one index row, shuffled in place
     assert_memory_stays_bounded(monkeypatch, permutation_test, lambda ds: 0, lambda n: n)
+
+
+def warm_peak(resample) -> int:
+    # the traced peak of a second identical pass on one thread
+    resample()
+    tracemalloc.start()
+    try:
+        resample()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_warm_pass_allocates_no_chunk_sized_array():
+    # n = 100 per group, p = 2, K = 500: one chunk, whose (m, N) int64
+    # index matrix alone is 1,172 KiB; a warm pass draws into the arrays
+    # its thread kept from the first
+    ds = make_dataset(np.random.default_rng(3), n=100, p=2)
+    keys = sampling.stream_keys(4, DOMAIN_PERMUTATION, 500)
+    index_bytes = 500 * ds.n * 8
+    peaks = in_fresh_thread(lambda: [
+        warm_peak(lambda: stratified_bootstrap(ds, k=500, seed=4)),
+        warm_peak(lambda: inference._permutation_means(ds, keys)),
+    ])
+    assert max(peaks) < index_bytes, [peak / 1024 for peak in peaks]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kept_arrays_do_not_grow_with_k(monkeypatch, workers):
+    # three groups of 2000 rows: a chunk's index matrix, draw words and
+    # gather block, whatever K is
+    ds = make_dataset(np.random.default_rng(12), n=2000, p=8)
+    use_workers(monkeypatch, workers)
+
+    def kept_bytes(k):
+        stratified_bootstrap(ds, k=k, seed=0)
+        return inference._WORKSPACE.buffer.nbytes
+
+    small, large = in_fresh_thread(lambda: [kept_bytes(400), kept_bytes(4000)])
+    assert small == large <= 8 * (inference._CHUNK_VALUES + inference._BLOCK_VALUES)
+
+
+def ensemble_stats(ens) -> np.ndarray:
+    return np.stack([ens.tau, ens.gamma, ens.u, ens.v])
+
+
+def test_kept_arrays_never_leak_stale_indices(monkeypatch):
+    # one thread runs passes big, small, big, with N, p and K all
+    # different, bootstrap and exact permutation kernel interleaved, each
+    # on 1 and on 2 workers; every result has the bits of the same call
+    # made first on a fresh thread
+    rng = np.random.default_rng(21)
+    passes = [
+        (make_dataset(rng, n=400, p=3), 600),
+        (unequal_dataset(2), WORKER_K),
+        (make_dataset(rng, n=300, p=5), 500),
+    ]
+    calls = [
+        lambda ds, k: ensemble_stats(stratified_bootstrap(ds, k=k, seed=6)),
+        lambda ds, k: permutation_means(ds, k, 7),
+        lambda ds, k: permutation_means(ds, k, 8, skip=1)[[0, 2]],
+    ]
+    runs = [
+        (workers, call, ds, k)
+        for ds, k in passes
+        for call in calls
+        for workers in (1, 2)
+    ]
+
+    def results():
+        out = []
+        for workers, call, ds, k in runs:
+            use_workers(monkeypatch, workers)
+            out.append(call(ds, k))
+        return out
+
+    for (workers, call, ds, k), got in zip(runs, in_fresh_thread(results)):
+        use_workers(monkeypatch, workers)
+        np.testing.assert_array_equal(got, in_fresh_thread(lambda: call(ds, k)))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux's minor faults")
+def test_a_warm_simulation_resamples_in_kept_pages(monkeypatch):
+    # the minor faults inside the five K = 500 bootstraps of a second
+    # coverage_simulation call, n = 100 per group: fewer than the pages of
+    # one chunk's index matrix.  Freed after each pass, the chunk arrays
+    # came back from a trimmed heap, about 375 faults per bootstrap.  The
+    # depth passes between them are left out: how often their temporaries
+    # fault depends on glibc's heap thresholds, so on what the process ran
+    # before
+    import resource
+
+    faults = []
+    bootstrap = inference.stratified_bootstrap
+
+    def counting(*args, **kwargs):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        try:
+            return bootstrap(*args, **kwargs)
+        finally:
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+    monkeypatch.setattr(inference, "stratified_bootstrap", counting)
+    for _ in range(2):
+        faults.clear()
+        coverage_simulation(
+            r=0.5, phi=math.pi / 3, p=2, n_per_group=100, sigma2=1.0, n_sims=5, k=500, seed=1
+        )
+    assert len(faults) == 5
+    assert sum(faults) < 500 * 300 * 8 // 4096, faults
 
 
 def test_bootstrap_internal_consistency(iris_ds):

@@ -295,16 +295,11 @@ class BootstrapEnsemble:
     def valid_mask(self) -> np.ndarray:
         return np.isfinite(self.tau)
 
-    def valid_cloud(self) -> np.ndarray:
-        """The (u, v) points of the valid replicates, in replicate order."""
-        valid = self.valid_mask()
-        return np.column_stack([self.u[valid], self.v[valid]])
-
     @functools.cached_property
     def _region_depths(self) -> "_RegionDepths":
         """Exact depths of the valid cloud, filled in as regions need
         them and shared by the regions of every level."""
-        return _RegionDepths(self.valid_cloud())
+        return _RegionDepths(self)
 
 
 # Bound on the index and draw values the chunks of replicates in flight
@@ -528,24 +523,33 @@ _SHELL = 0.1
 
 
 class _RegionDepths:
-    """Exact depths of a cloud's points against the cloud, computed only
-    where a confidence region needs them.
+    """Exact depths of an ensemble's valid cloud against itself, computed
+    only where a confidence region needs them.
 
-    Every point has an upper bound on its depth (``depth_upper_bounds``)
-    and, once computed, its exact depth (NaN until then), each as
-    ``tukey_depths`` would give it.  A level's threshold t and members
-    come from the exact depths of a shell of points whose bounds lie near
-    t, plus two certificates: every other point below the shell has a
-    bound < t, and every point above it lies inside the hull of computed
-    points of depth >= t (``inside_by_margin``; depth regions are convex).
-    A point the certificates cannot decide gets its exact depth, so a
-    degenerate cloud ends up computing every depth.
+    ``valid`` holds the valid replicates' indices and ``cloud`` their
+    (u, v) points, in replicate order; fewer than 3 raise
+    InsufficientReplicatesError before any bound is computed.  Every
+    point has an upper bound on its depth (``depth_upper_bounds``, kept
+    sorted as well) and, once computed, its exact depth (NaN until then),
+    each as ``tukey_depths`` would give it.  A level's threshold t and
+    members come from the exact depths of a shell of points whose bounds
+    lie near t, plus two certificates: every other point below the shell
+    has a bound < t, and every point above it lies inside the hull of
+    computed points of depth >= t (``inside_by_margin``; depth regions
+    are convex).  A point the certificates cannot decide gets its exact
+    depth, so a degenerate cloud ends up computing every depth.
     """
 
-    def __init__(self, cloud: np.ndarray):
-        self.cloud = cloud
-        self.bound = depth_upper_bounds(cloud)
-        self.depth = np.full(cloud.shape[0], np.nan)
+    def __init__(self, ens: BootstrapEnsemble):
+        self.valid = np.flatnonzero(ens.valid_mask())
+        if self.valid.size < 3:
+            raise InsufficientReplicatesError(
+                f"need at least 3 valid replicates, got {self.valid.size}"
+            )
+        self.cloud = np.column_stack([ens.u[self.valid], ens.v[self.valid]])
+        self.bound = depth_upper_bounds(self.cloud)
+        self.sorted_bound = np.sort(self.bound)
+        self.depth = np.full(self.valid.size, np.nan)
 
     def _compute(self, idx: np.ndarray) -> None:
         idx = idx[np.isnan(self.depth[idx])]
@@ -566,7 +570,7 @@ class _RegionDepths:
         """
         bound, depth = self.bound, self.depth
         n = bound.size
-        start = np.sort(bound)[n - count]  # >= the threshold
+        start = self.sorted_bound[n - count]  # >= the threshold
         width = _SHELL / math.sqrt(n)
         lo, hi = start - width, start + width
         while True:
@@ -635,18 +639,13 @@ def confidence_region(ens: BootstrapEnsemble, level: float) -> ConfidenceRegion:
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    valid = np.flatnonzero(ens.valid_mask())
-    if valid.size < 3:
-        raise InsufficientReplicatesError(
-            f"need at least 3 valid replicates, got {valid.size}"
-        )
     depths = ens._region_depths
-    threshold, member = depths.region(math.ceil(level * valid.size))
+    threshold, member = depths.region(math.ceil(level * depths.valid.size))
     points = depths.cloud[member]
     return ConfidenceRegion(
         level=float(level),
         depth_threshold=threshold,
-        member_indices=valid[member],
+        member_indices=depths.valid[member],
         member_points=points,
         area=_hull_and_area(points)[1],
     )
@@ -656,10 +655,11 @@ def region_summary(ens: BootstrapEnsemble, cr: ConfidenceRegion) -> dict:
     """The report's records ``{u, v, tau, a2, b2, c2, replicate}`` of the
     ensemble's deepest valid replicate ("median", in every region) and the
     members of ``cr`` with extreme tau ("max_tau", "min_tau"), first on ties."""
+    depths = ens._region_depths
     taus = ens.tau[cr.member_indices]
     summary = {}
     for name, rep in (
-        ("median", np.flatnonzero(ens.valid_mask())[np.argmax(ens._region_depths.region(1)[1])]),
+        ("median", depths.valid[np.argmax(depths.region(1)[1])]),
         ("max_tau", cr.member_indices[taus.argmax()]),
         ("min_tau", cr.member_indices[taus.argmin()]),
     ):
@@ -916,7 +916,7 @@ def coverage_simulation(
         lengths[s] = hi - lo
         coarse += np.count_nonzero(ens.valid_mask()) < _MIN_REGION_REPLICATES
         cr = confidence_region(ens, level)
-        cr_hits += tukey_depth(uv_true, ens.valid_cloud()) >= cr.depth_threshold
+        cr_hits += tukey_depth(uv_true, ens._region_depths.cloud) >= cr.depth_threshold
         areas[s] = cr.area
     if coarse:
         warnings.warn(

@@ -152,7 +152,7 @@ def rekeyed_streams(rng: np.random.Generator, keys: np.ndarray):
         yield rng
 
 
-def lemire_bounded(words: np.ndarray, bounds: np.ndarray, out: np.ndarray | None = None) -> tuple:
+def lemire_bounded(words: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> tuple:
     """numpy's bounded draws from raw 64-bit Philox words, for many rows.
 
     ``Generator.integers(0, n)`` (int64, 2 <= n < 2**32) takes Lemire's
@@ -170,13 +170,10 @@ def lemire_bounded(words: np.ndarray, bounds: np.ndarray, out: np.ndarray | None
     have drawn again there and shifted every later draw, so those rows
     are wrong and must be redrawn by ``integers`` itself.  The draws are
     written into ``out``, a C-contiguous (m, len(bounds)) int64 array,
-    if one is given (a thread's kept chunk array, so a warm pass
-    allocates none), and into a new array otherwise.
+    which is returned.
     """
     bounds = np.asarray(bounds, dtype=np.uint64)
     halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")[:, : bounds.size]
-    if out is None:
-        out = np.empty(halves.shape, dtype=np.int64)
     # the uint64 product half * n: its high 32 bits are the draw, its low
     # 32 bits, product mod 2**32, decide the rejection
     product = out.view(np.uint64)
@@ -193,8 +190,8 @@ def bootstrap_indices(
     rng: np.random.Generator,
     keys: np.ndarray,
     sizes,
-    out: np.ndarray | None = None,
-    words: np.ndarray | None = None,
+    out: np.ndarray,
+    words: np.ndarray,
 ) -> np.ndarray:
     """Stratified resampling indices for the streams keyed by ``keys``.
 
@@ -204,23 +201,19 @@ def bootstrap_indices(
     ``lemire_bounded`` pass over all rows; the rare row with a rejected
     half is drawn again by ``integers`` itself.  Same bits either way.
 
-    The (m, N) int64 indices, N = sum(sizes), are written into ``out``
-    and the (m, (N + 1) // 2) uint64 draw words into ``words``, each a
-    C-contiguous array, where given: the resampling kernel passes a
-    thread's kept chunk arrays, so a warm pass allocates none.  Each
-    that is not given is a new array.
+    The (m, N) int64 indices, N = sum(sizes), are written into ``out``,
+    which is returned, and the (m, (N + 1) // 2) uint64 draw words into
+    ``words``, each a C-contiguous array: the resampling kernel passes a
+    thread's kept chunk arrays, so a warm pass allocates none.
     """
     sizes = [int(n) for n in sizes]
     if not all(2 <= n < 2**32 for n in sizes):
         # a bound of 1 draws nothing in numpy; 2**32 and up take 64 bits
         raise ValueError(f"group sizes must lie in [2, 2**32), got {sizes}")
     n_words = (sum(sizes) + 1) // 2
-    if words is None:
-        words = np.empty((len(keys), n_words), dtype=np.uint64)
     for row, g in zip(words, rekeyed_streams(rng, keys)):
         row[:] = g.bit_generator.random_raw(n_words)
     idx, rejected = lemire_bounded(words, np.repeat(sizes, sizes), out)
-    del words
     redo = np.flatnonzero(rejected)
     idx[redo] = _integers_rows(rng, keys[redo], sizes)
     return idx

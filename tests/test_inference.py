@@ -178,10 +178,12 @@ def cpu_while_idle() -> float:
     return time.process_time() - start
 
 
-def test_whiten_leaves_no_blas_worker_spinning():
-    ds = wide_dataset(16)
+@pytest.mark.parametrize("p", [16, 64])
+def test_whiten_leaves_no_blas_worker_spinning(p):
+    # at p = 16 only the last product would spin; at p = 64 eigh as well
+    ds = wide_dataset(p)
     x = ds.features
-    w = np.random.default_rng(35).normal(size=(16, 16))
+    w = np.random.default_rng(35).normal(size=(p, p))
     time.sleep(0.3)  # let any earlier BLAS worker go back to sleep
     _ = (x - x.mean(axis=0)) @ w
     control = cpu_while_idle()
@@ -686,7 +688,7 @@ def test_bootstrap_all_rows_redrawn_is_bit_identical(iris_ds, monkeypatch):
     vectorised = stratified_bootstrap(iris_ds, k=300, seed=12)
     lemire_bounded = sampling.lemire_bounded
 
-    def reject_all(words, bounds, out=None):
+    def reject_all(words, bounds, out):
         draws, rejected = lemire_bounded(words, bounds, out)
         return draws, np.ones_like(rejected)
 

@@ -104,28 +104,41 @@ def reference_bootstrap_indices(seed, k, sizes):
     return np.array(rows)
 
 
+def draw_indices(rng, keys, sizes):
+    """``bootstrap_indices`` into new index and word arrays."""
+    n = sum(sizes)
+    out = np.empty((len(keys), n), dtype=np.int64)
+    words = np.empty((len(keys), (n + 1) // 2), dtype=np.uint64)
+    return bootstrap_indices(rng, keys, sizes, out, words)
+
+
+def lemire(words, bounds):
+    """``lemire_bounded`` into a new draws array."""
+    return lemire_bounded(words, bounds, np.empty((len(words), len(bounds)), dtype=np.int64))
+
+
 # odd and even totals, groups of size 2, a total of one word per row
 @pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 3, 2), (5, 8, 13), (50, 50, 50), (2, 1999, 7)])
 @pytest.mark.parametrize("seed", [0, 7, 2021, 2**40 + 3])
 def test_bootstrap_indices_match_numpy_integers(seed, sizes):
     k = 40
     rng = stream_generator(seed, DOMAIN_BOOTSTRAP, 0)
-    idx = bootstrap_indices(rng, stream_keys(seed, DOMAIN_BOOTSTRAP, k), sizes)
+    idx = draw_indices(rng, stream_keys(seed, DOMAIN_BOOTSTRAP, k), sizes)
     assert idx.shape == (k, sum(sizes)) and idx.dtype == np.int64
     np.testing.assert_array_equal(idx, reference_bootstrap_indices(seed, k, sizes))
 
 
 def test_lemire_rejects_word_zero_with_bound_three():
     # (2**32 - 3) % 3 == 1, and 0 * 3 leaves 0 < 1 in the low 32 bits
-    draws, rejected = lemire_bounded(np.zeros((1, 1), dtype=np.uint64), np.array([3]))
+    draws, rejected = lemire(np.zeros((1, 1), dtype=np.uint64), np.array([3]))
     assert rejected.tolist() == [True]
     # the high half of a word is the second draw; the low half leads
     word = np.array([[(3 << 32) | 1]], dtype=np.uint64)  # low 1, high 3
-    draws, rejected = lemire_bounded(word, np.array([5, 5]))
+    draws, rejected = lemire(word, np.array([5, 5]))
     assert rejected.tolist() == [False]
     assert draws.tolist() == [[(1 * 5) >> 32, (3 * 5) >> 32]]
     top = np.array([[0xFFFFFFFF_FFFFFFFF]], dtype=np.uint64)
-    draws, rejected = lemire_bounded(top, np.array([7, 2**32 - 1]))
+    draws, rejected = lemire(top, np.array([7, 2**32 - 1]))
     assert draws.tolist() == [[6, 2**32 - 2]] and rejected.tolist() == [False]
 
 
@@ -133,10 +146,10 @@ def test_lemire_reads_words_in_any_byte_order_and_layout():
     words = stream_generator(5, DOMAIN_BOOTSTRAP, 0).bit_generator.random_raw((200, 18))
     # 2**31 + 1 rejects about half its halves, so many rows are rejected
     bounds = np.repeat([2, 2**31 + 1, 1999, 7], [9, 1, 20, 5])
-    draws, rejected = lemire_bounded(words, bounds)
+    draws, rejected = lemire(words, bounds)
     assert 0 < rejected.sum() < len(words)
     for variant in (words.astype(">u8"), words.astype("<u8"), np.asfortranarray(words)):
-        other, other_rejected = lemire_bounded(variant, bounds)
+        other, other_rejected = lemire(variant, bounds)
         np.testing.assert_array_equal(other, draws)
         np.testing.assert_array_equal(other_rejected, rejected)
 
@@ -144,9 +157,11 @@ def test_lemire_reads_words_in_any_byte_order_and_layout():
 def test_bootstrap_indices_reject_sizes_numpy_draws_differently():
     rng = stream_generator(0, DOMAIN_BOOTSTRAP, 0)
     keys = stream_keys(0, DOMAIN_BOOTSTRAP, 2)
+    # the sizes are checked before either array is written
+    out, words = np.empty((2, 0), dtype=np.int64), np.empty((2, 0), dtype=np.uint64)
     for sizes in ([1, 3, 3], [2**32, 2, 2]):
         with pytest.raises(ValueError, match="group sizes"):
-            bootstrap_indices(rng, keys, sizes)
+            bootstrap_indices(rng, keys, sizes, out, words)
 
 
 def test_streams_are_disjoint():

@@ -130,14 +130,24 @@ def _rows(reader):
         raise CsvParseError(reader.line_num, "", str(exc)) from None
 
 
-def _check_finite(values, lines, feature_cols):
-    """CsvParseError at the first value of ``values`` that is not finite;
-    ``values`` holds the feature cells of rows that start on ``lines``,
-    row by row."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        row, col = divmod(int(finite.argmin()), len(feature_cols))
-        raise CsvParseError(lines[row], feature_cols[col], "non-finite value") from None
+def _row_values(line, feature_cols, cells):
+    """A row's feature ``cells`` as floats; CsvParseError at the first
+    cell that ``float()`` cannot read or reads as not finite. The row
+    starts on ``line``."""
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        values = None
+    if values is None or not math.isfinite(sum(values)):
+        # finite values whose sum overflows pass this walk
+        for name, cell in zip(feature_cols, cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvParseError(line, name, f"not a number: {cell!r}") from None
+            if not math.isfinite(value):
+                raise CsvParseError(line, name, "non-finite value")
+    return values
 
 
 def _header_columns(header, config):
@@ -191,35 +201,20 @@ def load_csv(path: str, config: AnalysisConfig) -> GroupedDataset:
         label_map = {v: k for k, v in config.group_order.items()}
         # a getter of one index returns the bare cell, not a 1-tuple
         cells = itemgetter(*col_idx) if len(col_idx) > 1 else lambda row: (row[col_idx[0]],)
-        labels, values, lines = [], array("d"), array("q")
-        try:
-            line = reader.line_num + 1  # the line the next row starts on
-            for row in rows:
-                if len(row) != len(header):
-                    raise CsvParseError(line, "", f"expected {len(header)} fields, got {len(row)}")
-                label = label_map.get(row[group_idx])
-                if label is None:
-                    raise UnknownGroupLabelError(
-                        f"line {line}: group label {row[group_idx]!r} is none of the "
-                        f"group_order (--groups) labels {list(label_map)}"
-                    )
-                labels.append(label)
-                lines.append(line)
-                try:
-                    values.fromlist(list(map(float, cells(row))))
-                except ValueError:
-                    # the row's cells before the bad one join the finiteness check
-                    for name, cell in zip(feature_cols, cells(row)):
-                        try:
-                            values.append(float(cell))
-                        except ValueError:
-                            raise CsvParseError(line, name, f"not a number: {cell!r}") from None
-                line = reader.line_num + 1
-        except (CsvParseError, UnknownGroupLabelError):
-            # finiteness is checked in bulk: a value read before the defect comes first
-            _check_finite(values, lines, feature_cols)
-            raise
-    _check_finite(values, lines, feature_cols)
+        labels, values = [], array("d")
+        line = reader.line_num + 1  # the line the next row starts on
+        for row in rows:
+            if len(row) != len(header):
+                raise CsvParseError(line, "", f"expected {len(header)} fields, got {len(row)}")
+            label = label_map.get(row[group_idx])
+            if label is None:
+                raise UnknownGroupLabelError(
+                    f"line {line}: group label {row[group_idx]!r} is none of the "
+                    f"group_order (--groups) labels {list(label_map)}"
+                )
+            labels.append(label)
+            values.fromlist(_row_values(line, feature_cols, cells(row)))
+            line = reader.line_num + 1
 
     present = set(labels)
     if len(present) < 3:

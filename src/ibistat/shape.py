@@ -214,12 +214,12 @@ class ShapePoint:
         object.__setattr__(self, "v", v)
 
     @classmethod
-    def from_rect(cls, u: float, v: float, angle_degenerate: bool = False) -> "ShapePoint":
+    def from_rect(cls, u: float, v: float) -> "ShapePoint":
         r = math.hypot(u, v)
         if r > 1.0 + 1e-9:
             raise OutOfDiskError(f"(u, v) = ({u}, {v}) outside the unit disk")
         phi = math.atan2(v, u) % (2.0 * math.pi)
-        return cls(r=r, phi=phi, angle_degenerate=angle_degenerate)
+        return cls(r=r, phi=phi)
 
 
 #: Shape of the B-midpoint triangle, the unique maximizer of the in-betweenness

@@ -110,6 +110,15 @@ def test_load_csv_reads_cells_as_python_float_does(tmp_path):
     assert values.tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
+def test_load_csv_reads_finite_values_whose_sum_overflows(tmp_path):
+    # each cell is finite, though the sum of each of the middle rows is not
+    text = "x,y,g\n1,2,a\n1e308,1e308,b\n-1.7e308,-1e308,c\n5,6,a\n7,8,b\n9,10,c\n"
+    path = write_csv(tmp_path / "big.csv", text)
+    ds = load_csv(path, abc_config(path))
+    expected = [[1, 2], [1e308, 1e308], [-1.7e308, -1e308], [5, 6], [7, 8], [9, 10]]
+    assert ds.features.tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize("cell, message", [
     ("abc", "line 3, column 'y': not a number: 'abc'"),
     ("nan", "line 3, column 'y': non-finite value"),

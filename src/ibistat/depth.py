@@ -44,24 +44,33 @@ conservative with respect to the depths this kernel computes:
 - ``depth_upper_bounds``: a cloud point's depth is at most its count in
   any closed halfplane through it, here along 16 fixed directions.  Cloud
   points whose projection lies within ``BOUND_MARGIN * s`` of its own
-  (s the largest |coordinate|) count on both sides.
-- ``inside_by_margin``: depth regions are convex, so a point inside the
-  hull of points of depth >= t has depth >= t.  A point counts as inside
-  only when it is more than ``HULL_MARGIN * s`` left of every edge.
+  (s the largest |coordinate|) count on both sides.  All directions are
+  projected and sorted in one pass.  Along a direction whose sorted
+  projections are more than 2 * ``BOUND_MARGIN * s`` apart, no other
+  point lies within the margin, so a point's two counts are read off its
+  rank r as n - r and r + 1; only a direction with closer projections
+  (ties, duplicates) searches for them.
+- ``inside_by_margin``: depth regions are convex, so a point inside a
+  polygon whose vertices have depth >= t has depth >= t.  The polygon is
+  ``support_polygon`` of the computed points of depth >= t: their
+  extremes along 32 directions, which needs no qhull.  A point counts as
+  inside only when it is more than ``HULL_MARGIN * s`` left of every edge.
 
 The kernel's rounding moves a cloud point by far less than
 ``BOUND_MARGIN * s`` across any halfplane boundary, so rounding can only
 raise the upper bound and never marks a point inside wrongly.  A point
 neither test decides, such as any point of a cloud with no interior (all
-shapes on the unit circle when p = 1) or a hull qhull cannot build, gets
-its exact depth from the kernel.
+shapes on the unit circle when p = 1), gets its exact depth from the
+kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["tukey_depth", "tukey_depths", "depth_upper_bounds", "inside_by_margin"]
+__all__ = [
+    "tukey_depth", "tukey_depths", "depth_upper_bounds", "support_polygon", "inside_by_margin",
+]
 
 # query x cloud pairs per chunk.  Each of the chunk's temporaries then
 # holds 2**14 values (128 KiB); on a Xeon with 2 MiB of L2 per core this
@@ -152,6 +161,19 @@ def _scale(*arrays) -> float:
     return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
 
 
+def _projections(points: np.ndarray):
+    """The projections of ``points`` (m x 2) onto ``_DIRECTIONS``, one row
+    per direction, in blocks of as many rows as fit in ``_CHUNK_PAIRS``
+    values (at least one), so no block outgrows a kernel temporary.  The
+    products and sums are elementwise, not a matrix product, so every
+    projection is rounded the same way whatever the block size or BLAS."""
+    rows = max(1, _CHUNK_PAIRS // max(1, points.shape[0]))
+    x, y = points[:, 0], points[:, 1]
+    for lo in range(0, len(_DIRECTIONS), rows):
+        d = _DIRECTIONS[lo:lo + rows]
+        yield x * d[:, :1] + y * d[:, 1:]
+
+
 def depth_upper_bounds(cloud) -> np.ndarray:
     """Upper bound, in [0, 1], on the depth ``tukey_depths`` gives each
     point q of ``cloud`` (n x 2) against the cloud itself.
@@ -163,21 +185,56 @@ def depth_upper_bounds(cloud) -> np.ndarray:
     lies within ``BOUND_MARGIN * s`` of q's counts on both sides, so
     rounding in the projections or in the kernel's angles can only raise
     the bound.
+
+    With the projections along d sorted, q at rank r (from 0) and the
+    margin m, the two counts are n - #{c < q - m} and #{c <= q + m}.
+    Where every gap between neighbouring sorted projections exceeds 2m,
+    the rounded q - m and q + m lie strictly between q's neighbours, as m
+    is far above the rounding of that sum and of the gap, so the counts
+    are n - r and r + 1 and need no search.  A direction with a smaller
+    gap (ties, duplicates) searches for them.
     """
     cloud = np.asarray(cloud, dtype=float)
     n = cloud.shape[0]
     margin = BOUND_MARGIN * _scale(cloud)
+    by_rank = np.minimum(np.arange(n, 0, -1), np.arange(1, n + 1))
     best = np.full(n, n)
-    for dx, dy in _DIRECTIONS:
-        q = cloud[:, 0] * dx + cloud[:, 1] * dy
-        # the sorted projections are both the column searched and the
-        # queries, which searchsorted takes two to three times faster sorted
-        order = np.argsort(q)
-        q = q[order]
-        count = np.minimum(n - np.searchsorted(q, q - margin, "left"),
-                           np.searchsorted(q, q + margin, "right"))
-        best[order] = np.minimum(best[order], count)
+    for q in _projections(cloud):
+        # flat indices into the block, each row's in ascending order
+        order = np.argsort(q, axis=1)
+        order += n * np.arange(q.shape[0])[:, None]
+        q = q.ravel()[order]
+        count = np.empty(q.size, dtype=best.dtype)
+        count[order] = by_rank
+        for i in np.flatnonzero(~(np.diff(q, axis=1) > 2.0 * margin).all(axis=1)):
+            count[order[i]] = np.minimum(n - np.searchsorted(q[i], q[i] - margin, "left"),
+                                         np.searchsorted(q[i], q[i] + margin, "right"))
+        np.minimum(best, count.reshape(q.shape).min(axis=0), out=best)
     return best / n
+
+
+def support_polygon(points) -> np.ndarray:
+    """Vertices of a counter-clockwise polygon inscribed in the convex hull
+    of ``points`` (m x 2, m >= 1), each a row of ``points``: the extreme
+    row along each of the 32 directions +-``_DIRECTIONS`` in angle order
+    (the first such row on ties), with consecutive repeats and a last
+    vertex equal to the first dropped.
+
+    If every row has depth >= t, so has every vertex, and by convexity so
+    has every point ``inside_by_margin`` marks against the polygon: the
+    certificate of the rows' convex hull, without qhull, though it may
+    mark fewer points.  One or two distinct rows give fewer than 3
+    vertices, which mark nothing.
+    """
+    points = np.asarray(points, dtype=float)
+    # the extreme along -d is the least projection on d, as negation is exact
+    ends = np.concatenate([(q.argmax(axis=1), q.argmin(axis=1)) for q in _projections(points)],
+                          axis=1)
+    idx = ends.ravel()
+    idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
+    if idx.size > 1 and idx[0] == idx[-1]:
+        idx = idx[:-1]
+    return points[idx]
 
 
 def inside_by_margin(points, polygon, cloud) -> np.ndarray:

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import depth_upper_bounds, inside_by_margin, tukey_depth, tukey_depths
+from .depth import (
+    depth_upper_bounds,
+    inside_by_margin,
+    support_polygon,
+    tukey_depth,
+    tukey_depths,
+)
 from .errors import (
     InsufficientDataError,
     InsufficientReplicatesError,
@@ -534,10 +540,15 @@ class _RegionDepths:
     each as ``tukey_depths`` would give it.  A level's threshold t and
     members come from the exact depths of a shell of points whose bounds
     lie near t, plus two certificates: every other point below the shell
-    has a bound < t, and every point above it lies inside the hull of
-    computed points of depth >= t (``inside_by_margin``; depth regions
-    are convex).  A point the certificates cannot decide gets its exact
-    depth, so a degenerate cloud ends up computing every depth.
+    has a bound < t, and every point above it lies inside the support
+    polygon of the computed points of depth >= t (``support_polygon``
+    and ``inside_by_margin``; depth regions are convex).  Both are cheap:
+    the bounds of all 16 directions come from one sort each, read off
+    the ranks wherever neighbouring projections lie more than twice the
+    bound's margin apart, and the polygon is those points' extremes along
+    32 directions, so qhull runs only for a region's area.  A point the
+    certificates cannot decide gets its exact depth, so a degenerate
+    cloud ends up computing every depth.
     """
 
     def __init__(self, ens: BootstrapEnsemble):
@@ -586,9 +597,8 @@ class _RegionDepths:
                 continue
             # and every one above it must be certified >= t
             if above.size:
-                # a set spanning no area yields no polygon with an inside
-                hull, _ = _hull_and_area(self.cloud[depth >= t])
-                inside = inside_by_margin(self.cloud[above], hull, self.cloud)
+                polygon = support_polygon(self.cloud[depth >= t])
+                inside = inside_by_margin(self.cloud[above], polygon, self.cloud)
                 if not inside.all():
                     self._compute(above[~inside])
                     continue

@@ -38,6 +38,27 @@ def halfspace_depth_enumeration(point, cloud) -> float:
     return (m0 + best) / n
 
 
+def reference_upper_bounds(cloud) -> np.ndarray:
+    """``depth_upper_bounds`` one direction at a time, without ranks:
+    along each of the library's directions, a point's count is the smaller
+    of #{c : c's projection >= its own - margin} and #{c : c's projection
+    <= its own + margin}, both by binary search in the sorted projections."""
+    from ibistat.depth import _DIRECTIONS, BOUND_MARGIN, _scale
+
+    cloud = np.asarray(cloud, dtype=float)
+    n = cloud.shape[0]
+    margin = BOUND_MARGIN * _scale(cloud)
+    best = np.full(n, n)
+    for dx, dy in _DIRECTIONS:
+        q = cloud[:, 0] * dx + cloud[:, 1] * dy
+        order = np.argsort(q)
+        q = q[order]
+        count = np.minimum(n - np.searchsorted(q, q - margin, "left"),
+                           np.searchsorted(q, q + margin, "right"))
+        best[order] = np.minimum(best[order], count)
+    return best / n
+
+
 def quantile_type7(values, q) -> float:
     """Linear interpolation between order statistics, from first principles."""
     xs = np.sort(np.asarray(values, dtype=float))

@@ -1,5 +1,7 @@
 """Compare the confidence regions of about 200 seeded bootstrap ensembles
-with the ones the depths of every valid point give.
+with the ones the depths of every valid point give, and the depth upper
+bounds of each ensemble's valid cloud with the one-direction-at-a-time
+search loop.
 
 Run from the repository root:
 
@@ -8,7 +10,8 @@ Run from the repository root:
 Ensembles: iris at p = 4 and p = 1 (K = 1000), simulated datasets with
 n = 100 and n = 30 per group (K = 500), and iris groups cut to 2 or 3
 rows (K = 400); each at levels 0.5, 0.8, 0.95 and 0.99.  Prints one line
-per family and exits 1 if any region differs.  Not collected by pytest.
+per family and exits 1 if any bound or region differs.  Not collected by
+pytest.
 """
 
 from __future__ import annotations
@@ -22,10 +25,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _oracles import assert_region_matches_full_kernel  # noqa: E402
+from _oracles import (  # noqa: E402
+    assert_region_matches_full_kernel,
+    reference_upper_bounds,
+    valid_cloud,
+)
 from conftest import iris_config  # noqa: E402
 from ibistat import GroupedDataset, standardize, stratified_bootstrap  # noqa: E402
 from ibistat.datasets import iris_csv_path  # noqa: E402
+from ibistat.depth import depth_upper_bounds  # noqa: E402
 from ibistat.report import load_csv  # noqa: E402
 from ibistat.sampling import (  # noqa: E402
     DOMAIN_SIMULATION,
@@ -78,12 +86,16 @@ def main() -> int:
         for ens in ensembles():
             count += 1
             try:
+                cloud = valid_cloud(ens)
+                np.testing.assert_array_equal(
+                    depth_upper_bounds(cloud), reference_upper_bounds(cloud), err_msg="bounds"
+                )
                 assert_region_matches_full_kernel(ens, LEVELS)
             except AssertionError as exc:
                 bad += 1
                 print(f"  {name}, seed {ens.seed}: {exc}")
         failed += bad
-        print(f"{name}: {count} ensembles, {bad} with a differing region, "
+        print(f"{name}: {count} ensembles, {bad} with a differing bound or region, "
               f"{time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 

@@ -245,7 +245,7 @@ def test_load_csv_reader_error_comes_in_file_order(tmp_path):
     "1,2,\udce9",  # bytes that are not UTF-8
 ])
 def test_load_csv_non_finite_value_comes_before_a_later_defect(tmp_path, later):
-    # finiteness is checked in bulk, but a non-finite value is still
+    # each row is checked as it is read, so a non-finite value is
     # reported before any defect on a later line
     text = "x,y,g\n1,2,a\n3,inf,b\n5,6,c\n" + later + "\n7,8,a\n"
     path = tmp_path / "inf.csv"

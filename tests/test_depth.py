@@ -1,11 +1,21 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import ibistat.inference
 from ibistat import tukey_depth, tukey_depths
-from ibistat.depth import _CHUNK_PAIRS, depth_upper_bounds, inside_by_margin
+from ibistat.depth import (
+    _CHUNK_PAIRS,
+    _DIRECTIONS,
+    BOUND_MARGIN,
+    depth_upper_bounds,
+    inside_by_margin,
+    support_polygon,
+)
 from ibistat.report import run_analysis
-from _oracles import halfspace_depth_enumeration
+from _oracles import halfspace_depth_enumeration, reference_upper_bounds
 from conftest import iris_config
 
 
@@ -111,6 +121,22 @@ def test_regions_at_all_levels_share_exact_depths(iris_ds, monkeypatch):
     assert len(set(queries)) == len(queries) < 200
 
 
+def test_regions_build_one_hull_each_for_their_area(iris_ds, monkeypatch):
+    import scipy.spatial
+
+    hulls = []
+    convex_hull = scipy.spatial.ConvexHull
+
+    def counting(points, *args, **kwargs):
+        hulls.append(len(points))
+        return convex_hull(points, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    report, _ = run_analysis(iris_config(boot_k=1000, levels=(0.8, 0.95)), iris_ds)
+    assert len(report["regions"]) == 2
+    assert hulls == [region["member_count"] for region in report["regions"].values()]
+
+
 def test_invalid_cloud():
     with pytest.raises(ValueError):
         tukey_depth([0.0, 0.0], np.zeros((0, 2)))
@@ -146,6 +172,97 @@ def test_upper_bounds_are_tight_along_the_axes():
     cloud = np.array([[x, y] for x in range(-2, 3) for y in range(-2, 3)], dtype=float)
     # on the grid the bound is the depth: the axes realise every minimum
     np.testing.assert_array_equal(depth_upper_bounds(cloud), tukey_depths(cloud, cloud))
+
+
+def test_upper_bounds_equal_the_search_loop():
+    rng = np.random.default_rng(9)
+    clouds = [*_bound_clouds(rng), rng.normal(size=(1, 2)), rng.normal(size=(2, 2)), np.ones((2, 2))]
+    for cloud in clouds:
+        np.testing.assert_array_equal(depth_upper_bounds(cloud), reference_upper_bounds(cloud))
+
+
+def test_upper_bounds_equal_the_search_loop_with_ties_along_some_directions():
+    rng = np.random.default_rng(10)
+    for n in (5, 40, 300):
+        x, level = rng.normal(size=n), rng.integers(0, 3, size=n).astype(float)
+        for cloud in (np.column_stack([x, level]), np.column_stack([level, x])):
+            # projections within twice the margin along some directions
+            # (which search) but not along others (which rank)
+            gaps = np.diff(np.sort(cloud @ _DIRECTIONS.T, axis=0), axis=0)
+            tied = (gaps <= 2 * BOUND_MARGIN * np.abs(cloud).max()).any(axis=0)
+            assert tied.any() and not tied.all()
+            np.testing.assert_array_equal(depth_upper_bounds(cloud), reference_upper_bounds(cloud))
+
+
+def test_upper_bounds_hold_a_few_cloud_sized_arrays():
+    # one direction at a time at this size: 16 at once would hold 16 times
+    # as many projections, orders and counts
+    n = 200_000
+    rng = np.random.default_rng(11)
+    for cloud in (rng.normal(size=(n, 2)), np.round(rng.normal(size=(n, 2)), 2)):
+        tracemalloc.start()
+        try:
+            depth_upper_bounds(cloud)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * cloud[:, 0].nbytes
+
+
+def _polygon_inputs(rng):
+    """Random, duplicate-heavy, collinear, one-point and two-point sets."""
+    for _ in range(30):
+        n = int(rng.integers(3, 40))
+        t = rng.normal(size=n)
+        yield rng.normal(size=(n, 2))
+        yield rng.integers(-2, 3, size=(n, 2)).astype(float)[rng.integers(0, n, size=2 * n)]
+        yield np.outer(t, [0.6, 0.8]) + [0.1, -0.3]
+        yield np.column_stack([t, np.full(n, 0.3)])
+        yield rng.normal(size=(1, 2))
+        yield rng.normal(size=(2, 2))[[0, 1, 1, 0]]
+
+
+def _twice_signed_area(polygon):
+    """Exact twice the signed area of ``polygon``'s rounded vertices."""
+    vertices = [(Fraction(x), Fraction(y)) for x, y in polygon]
+    following = vertices[1:] + vertices[:1]
+    return sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(vertices, following))
+
+
+def test_support_polygon_is_a_counter_clockwise_polygon_of_input_rows():
+    rng = np.random.default_rng(12)
+    for points in _polygon_inputs(rng):
+        polygon = support_polygon(points)
+        assert polygon.shape[0] >= 1 and set(map(tuple, polygon)) <= set(map(tuple, points))
+        if polygon.shape[0] > 1:
+            assert (polygon != np.roll(polygon, -1, axis=0)).any(axis=1).all()
+        assert _twice_signed_area(polygon) >= 0
+
+
+def test_support_polygon_marks_only_points_inside_the_hull():
+    from scipy.spatial import ConvexHull, QhullError
+
+    rng = np.random.default_rng(13)
+    for points in _polygon_inputs(rng):
+        polygon = support_polygon(points)
+        centre = points.mean(axis=0)
+        spread = np.abs(points - centre).max() + 1.0
+        queries = np.concatenate([
+            points,
+            centre + spread * rng.uniform(-1.0, 1.0, size=(200, 2)),
+            centre + rng.uniform(0.0, 1.01, size=(len(polygon), 1)) * (polygon - centre),
+        ])
+        marked = inside_by_margin(queries, polygon, points)
+        try:
+            hull = ConvexHull(points)
+        except QhullError:
+            assert not marked.any()
+            continue
+        assert (queries[marked] @ hull.equations[:, :2].T + hull.equations[:, 2] <= 0.0).all()
+        if _twice_signed_area(polygon) > 1e-6 * spread**2:
+            # the polygon shrunk towards its vertices' mean is certified
+            inner = polygon.mean(axis=0)
+            assert inside_by_margin(inner + 0.5 * (polygon - inner), polygon, points).all()
 
 
 def test_inside_by_margin_marks_no_vertex_edge_or_outside_point():

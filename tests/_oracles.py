@@ -85,17 +85,62 @@ def cloud_depths(ens) -> np.ndarray:
     return tukey_depths(cloud, cloud)
 
 
+def qhull_area(points) -> float:
+    """The points' hull area from a direct qhull call, 0.0 where qhull
+    finds no hull."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        return float(ConvexHull(points).volume)
+    except QhullError:
+        return 0.0
+
+
+def monotone_chain_hull(points) -> list:
+    """Vertices of the points' convex hull, counter-clockwise, by Andrew's
+    monotone chain: sort, then keep only left turns (a positive cross
+    product) along the lower and the upper chain.  Copies and collinear
+    points are dropped, so a set that spans no area has at most 2."""
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
+    if len(pts) < 3:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(pts[::-1])
+
+
+def shoelace_area(vertices) -> float:
+    """Area of a simple polygon from its vertices in order, with the
+    coordinates taken relative to the first vertex."""
+    x0, y0 = vertices[0]
+    xy = [(x - x0, y - y0) for x, y in vertices]
+    return abs(math.fsum(
+        xa * yb - xb * ya for (xa, ya), (xb, yb) in zip(xy, xy[1:] + xy[:1])
+    )) / 2.0
+
+
 def assert_region_matches_full_kernel(ens, levels) -> None:
     """The region of ``ens`` at each of ``levels`` is the one the depths
-    of every valid point (``cloud_depths``) give: same threshold bits,
-    members and area, and ``region_summary`` gives the records of the
-    deepest valid replicate and of the members with the largest and the
-    smallest tau (each the first on ties).  The count-1 search that finds
-    the deepest point is checked on its own depths as well as after the
+    of every valid point (``cloud_depths``) give: same threshold bits and
+    members, an area with the bits of a direct qhull call on those
+    members and equal, to 1e-12 relative, to the shoelace area of their
+    monotone-chain hull (exactly 0.0 where that hull has fewer than 3
+    vertices), and ``region_summary`` gives the records of the deepest
+    valid replicate and of the members with the largest and the smallest
+    tau (each the first on ties).  The count-1 search that finds the
+    deepest point is checked on its own depths as well as after the
     levels' searches on the ensemble's."""
-    from ibistat.inference import (
-        _hull_and_area, _RegionDepths, confidence_region, region_summary,
-    )
+    from ibistat.inference import _RegionDepths, confidence_region, region_summary
 
     valid = np.flatnonzero(np.isfinite(ens.tau))
     depths = cloud_depths(ens)
@@ -106,10 +151,17 @@ def assert_region_matches_full_kernel(ens, levels) -> None:
         threshold = float(np.sort(depths)[valid.size - math.ceil(level * valid.size)])
         member = depths >= threshold
         members = valid[member]
-        _, area = _hull_and_area(valid_cloud(ens)[member])
+        points = valid_cloud(ens)[member]
         assert cr.depth_threshold.hex() == threshold.hex(), (level, cr.depth_threshold, threshold)
         np.testing.assert_array_equal(cr.member_indices, members, err_msg=f"level {level}")
+        area = qhull_area(points)
         assert cr.area == area, (level, cr.area, area)
+        hull = monotone_chain_hull(points)
+        if len(hull) < 3:
+            assert cr.area == 0.0, (level, cr.area, hull)
+        else:
+            shoelace = shoelace_area(hull)
+            assert math.isclose(cr.area, shoelace, rel_tol=1e-12, abs_tol=1e-15), (level, cr.area, shoelace)
         taus = ens.tau[members]
         expected = {
             "median": valid[np.argmax(depths)],

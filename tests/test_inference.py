@@ -948,8 +948,11 @@ def test_confidence_region_hull_contains_members(iris_ds):
     cr = confidence_region(ens, 0.8)
     # the area is the members' hull's, and every member point lies inside
     # (or on) that hull: check via support function
-    hull, area = inference._hull_and_area(cr.member_points)
-    assert cr.area == area
+    from scipy.spatial import ConvexHull
+
+    qhull = ConvexHull(cr.member_points)
+    assert cr.area == qhull.volume
+    hull = cr.member_points[qhull.vertices]
     centroid = hull.mean(axis=0)
     for edge_start, edge_end in zip(hull, np.roll(hull, -1, axis=0)):
         edge = edge_end - edge_start
@@ -1103,17 +1106,15 @@ def test_deepest_member_is_first_of_ties_even_with_a_tight_bound(seed):
     assert_region_matches_full_kernel(ens, REGION_LEVELS)
 
 
-def reference_hull_and_area(points):
+def reference_hull_area(points):
     from scipy.spatial import ConvexHull, QhullError
 
-    uniq = np.unique(points, axis=0)
-    if uniq.shape[0] < 3:
-        return uniq, 0.0
+    if np.unique(points, axis=0).shape[0] < 3:
+        return 0.0
     try:
-        hull = ConvexHull(points)
-        return points[hull.vertices], float(hull.volume)
+        return float(ConvexHull(points).volume)
     except QhullError:
-        return uniq, 0.0
+        return 0.0
 
 
 @pytest.mark.parametrize("points", [
@@ -1127,12 +1128,11 @@ def reference_hull_and_area(points):
     [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.1, 0.1], [0.5, 0.0]],
 ], ids=["one", "two", "two-copies", "five-copies", "copies-of-two",
         "collinear", "collinear-copies", "triangle"])
-def test_hull_and_area_matches_rule_that_checks_distinct_points_first(points):
+def test_hull_area_matches_rule_that_checks_distinct_points_first(points):
     points = np.array(points)
-    hull, area = inference._hull_and_area(points)
-    ref_hull, ref_area = reference_hull_and_area(points)
-    np.testing.assert_array_equal(hull, ref_hull)
-    assert area == ref_area
+    area = inference._hull_area(points)
+    assert type(area) is float
+    assert area == reference_hull_area(points)
 
 
 def test_region_summary_extremes(iris_ds):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import os
 import sys
@@ -68,24 +69,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="analyze a CSV of grouped observations")
-    pa.add_argument("--input", required=True, help="CSV file with a header row")
-    pa.add_argument("--group-col", required=True, help="name of the group column")
+    # each option's dest is the AnalysisConfig field it sets; one not given takes its default
+    pa.add_argument("--input", dest="input_path", required=True, help="CSV file with a header row")
+    pa.add_argument("--group-col", dest="group_column", required=True,
+                    help="name of the group column")
     pa.add_argument(
-        "--groups", required=True, type=_parse_groups,
+        "--groups", dest="group_order", required=True, type=_parse_groups,
         help="mapping A=<label>,B=<label>,C=<label>; B is the candidate in-between group",
     )
-    # the defaults are AnalysisConfig's, so the CLI and the library agree
-    pa.add_argument(
-        "--features", default=AnalysisConfig.feature_columns, type=_parse_features,
-        help="comma-separated feature columns (default: all non-group columns)",
-    )
-    pa.add_argument("--standardize", choices=STANDARDIZE_MODES,
-                    default=AnalysisConfig.standardize_mode)
-    pa.add_argument("--boot", type=int, default=AnalysisConfig.boot_k, help="bootstrap replicates")
-    pa.add_argument("--perm", type=int, default=AnalysisConfig.perm_k,
-                    help="permutations (0 = skip)")
-    pa.add_argument("--levels", type=_parse_levels, default=AnalysisConfig.levels)
-    pa.add_argument("--seed", type=int, default=AnalysisConfig.seed)
+    pa.add_argument("--features", dest="feature_columns", type=_parse_features,
+                    help="comma-separated feature columns (default: all non-group columns)")
+    pa.add_argument("--standardize", dest="standardize_mode", choices=STANDARDIZE_MODES)
+    pa.add_argument("--boot", dest="boot_k", type=int, help="bootstrap replicates")
+    pa.add_argument("--perm", dest="perm_k", type=int, help="permutations (0 = skip)")
+    pa.add_argument("--levels", type=_parse_levels)
+    pa.add_argument("--seed", type=int)
     pa.add_argument("--threads", type=_positive_int, metavar="N",
                     help="accepted for compatibility; has no effect")
     pa.add_argument("--report", default="", help="write the JSON report here")
@@ -130,18 +128,9 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _cmd_analyze(args) -> int:
-    config = AnalysisConfig(
-        input_path=args.input,
-        group_column=args.group_col,
-        group_order=args.groups,
-        feature_columns=args.features,
-        standardize_mode=args.standardize,
-        boot_k=args.boot,
-        levels=args.levels,
-        seed=args.seed,
-        perm_k=args.perm,
-    )
-    paths = [("--input", args.input), ("--report", args.report), ("--plot", args.plot)]
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(AnalysisConfig)}
+    config = AnalysisConfig(**{name: value for name, value in given.items() if value is not None})
+    paths = [("--input", config.input_path), ("--report", args.report), ("--plot", args.plot)]
     for (one, a), (other, b) in combinations([(o, p) for o, p in paths if p], 2):
         if _same_file(a, b):
             raise ValueError(f"{one} and {other} name the same file: {b}")

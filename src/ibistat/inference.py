@@ -912,6 +912,12 @@ def coverage_simulation(
     areas = np.empty(n_sims)
     for s in range(n_sims):
         data = sample_grouped_dataset(spec, stream_generator(seed, DOMAIN_SIMULATION, s))
+        # single draws can pass the bound that sigma2 keeps one deviation under
+        try:
+            standardize(data, "none")
+        except ValueError as exc:
+            raise ValueError(f"sigma2 (--sigma2) = {sigma2} is too large: "
+                             f"simulated dataset {s} has {exc}") from None
         boot_seed = int(
             np.random.SeedSequence(
                 entropy=int(seed), spawn_key=(DOMAIN_SIMULATION, s, 1)

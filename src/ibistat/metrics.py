@@ -154,14 +154,11 @@ def tau_null_density(t, p: int):
     Uniform on [-1, 1] for p = 2, the semicircle law for p = 3.  Uses
     log-gamma so large p does not overflow.
     """
-    # imported here, so importing ibistat loads no part of scipy
-    from scipy import special
-
     p = _check_p(p)
     t = np.asarray(t, dtype=float)
     if np.any((t < -1.0) | (t > 1.0)):
         raise DomainError("tau outside [-1, 1]")
-    const = math.exp(special.gammaln((p + 1) / 2.0) - special.gammaln(p / 2.0))
+    const = math.exp(math.lgamma((p + 1) / 2.0) - math.lgamma(p / 2.0))
     with np.errstate(divide="ignore"):
         out = const / math.sqrt(math.pi) * (1.0 - t * t) ** ((p - 2) / 2.0)
     return out if out.ndim else float(out)
@@ -169,6 +166,7 @@ def tau_null_density(t, p: int):
 
 def tau_null_cdf(t, p: int):
     """Null distribution function of tau: (tau+1)/2 follows Beta(p/2, p/2)."""
+    # imported here, so importing ibistat loads no part of scipy
     from scipy import special
 
     p = _check_p(p)

@@ -129,7 +129,7 @@ def shoelace_area(vertices) -> float:
     )) / 2.0
 
 
-def assert_region_matches_full_kernel(ens, levels) -> None:
+def assert_region_matches_full_kernel(ens, levels) -> int:
     """The region of ``ens`` at each of ``levels`` is the one the depths
     of every valid point (``cloud_depths``) give: same threshold bits and
     members, an area with the bits of a direct qhull call on those
@@ -139,13 +139,15 @@ def assert_region_matches_full_kernel(ens, levels) -> None:
     valid replicate and of the members with the largest and the smallest
     tau (each the first on ties).  The count-1 search that finds the
     deepest point is checked on its own depths as well as after the
-    levels' searches on the ensemble's."""
+    levels' searches on the ensemble's.  Returns how many of the levels'
+    regions span no area (a hull of fewer than 3 vertices)."""
     from ibistat.inference import _RegionDepths, confidence_region, region_summary
 
     valid = np.flatnonzero(np.isfinite(ens.tau))
     depths = cloud_depths(ens)
     alone = _RegionDepths(ens).region(1)[1]
     assert np.argmax(alone) == np.argmax(depths)
+    flat = 0
     for level in levels:
         cr = confidence_region(ens, level)
         threshold = float(np.sort(depths)[valid.size - math.ceil(level * valid.size)])
@@ -159,6 +161,7 @@ def assert_region_matches_full_kernel(ens, levels) -> None:
         hull = monotone_chain_hull(points)
         if len(hull) < 3:
             assert cr.area == 0.0, (level, cr.area, hull)
+            flat += 1
         else:
             shoelace = shoelace_area(hull)
             assert math.isclose(cr.area, shoelace, rel_tol=1e-12, abs_tol=1e-15), (level, cr.area, shoelace)
@@ -173,6 +176,7 @@ def assert_region_matches_full_kernel(ens, levels) -> None:
         for name, rep in expected.items():
             assert summary[name]["replicate"] == rep, (level, name)
             assert summary[name]["tau"] == ens.tau[rep], (level, name)
+    return flat
 
 
 def reference_bootstrap(ds, k, seed) -> dict:

@@ -655,6 +655,21 @@ def test_svg_escapes_markup_in_feature_names():
     assert title.text == "shape space: a<b, c&d"
 
 
+def test_svg_draws_the_glyph_of_a_shape_with_a_and_b_coincident():
+    report = {
+        "config": {"feature_columns": ["x", "y"]},
+        "observed": {"u": -0.5, "v": 0.8660254037844386, "a2": 0.5, "b2": 0.5, "c2": 0.0},
+        "regions": {},
+    }
+    svg = svg_from_report(report, {})
+    assert is_well_formed_xml(svg) and glyph_count(svg) == 1
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    glyph = ET.fromstring(svg).find("svg:g[@id='glyph-observed']", ns)
+    points = glyph.find("svg:polygon", ns).get("points").split()
+    # A and B share one vertex; C lies apart
+    assert len(points) == 3 and points[0] == points[1] != points[2]
+
+
 def test_svg_without_regions_draws_disk_and_observed(iris_ds):
     report, regions = run_analysis(iris_config(boot_k=50, levels=()), iris_ds)
     assert report["regions"] == {} and regions == {}
@@ -1066,6 +1081,32 @@ def test_minimal_analyze_command_builds_the_default_config(monkeypatch, capsys):
     assert seen == [AnalysisConfig(input_path="in.csv", group_column="g", group_order=groups)]
 
 
+@pytest.mark.parametrize("options, fields", [
+    ([], {}),
+    ([
+        "--features", "x,y", "--standardize", "whiten", "--boot", "50", "--perm", "20",
+        "--levels", "0.5,0.9", "--seed", "3", "--threads", "2",
+    ], {
+        "feature_columns": ("x", "y"), "standardize_mode": "whiten", "boot_k": 50,
+        "perm_k": 20, "levels": (0.5, 0.9), "seed": 3,
+    }),
+    (["--features", ""], {"feature_columns": ()}),
+    (["--threads", "2"], {}),
+], ids=["required-only", "every-option", "features-empty", "threads"])
+def test_analyze_argv_builds_the_explicit_config(monkeypatch, options, fields):
+    seen = []
+
+    def stop(path, config):
+        seen.append(config)
+        raise CsvParseError(1, "", "stop")
+
+    monkeypatch.setattr("ibistat.cli.load_csv", stop)
+    required = ["--input", "in.csv", "--group-col", "g", "--groups", "A=a,B=b,C=c"]
+    assert main(["analyze", *required, *options]) == 1
+    groups = {"A": "a", "B": "b", "C": "c"}
+    assert seen == [AnalysisConfig(input_path="in.csv", group_column="g", group_order=groups, **fields)]
+
+
 def test_config_rejects_an_unknown_standardize_mode():
     with pytest.raises(ValueError, match=r"^standardize_mode \(--standardize\) must be one of"):
         iris_config(standardize_mode="bogus")
@@ -1197,6 +1238,17 @@ def test_simulate_sigma2_below_overflow_bound_runs_clean(capsys):
     assert json.loads(out)["sigma2"] == 1e306 and err == ""
 
 
+def test_simulate_draw_beyond_overflow_bound_exits_1(capsys):
+    # sigma2 passes the bound on one deviation, but single draws exceed it
+    args = {**SIMULATE_ARGS, "--n": "2", "--sigma2": "7.4e306", "--sims": "20"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", *(x for pair in args.items() for x in pair)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("ibistat: error: sigma2 (--sigma2) = 7.4e+306")
+    assert "triangle sides overflow" in err
+
+
 def test_simulate_checks_level_before_drawing(capsys, monkeypatch):
     from ibistat import inference
 
@@ -1233,6 +1285,10 @@ def test_report_floats_roundtrip_exactly():
     assert parsed["b"] == payload["b"]
     assert parsed["c"]["nested"] == payload["c"]["nested"]
     assert parsed["g"] == payload["g"]
+
+
+def test_report_writes_booleans_and_null_as_json():
+    assert dumps_report([True, False, None]) == "[true, false, null]\n"
 
 
 def test_report_rejects_nan():

@@ -433,6 +433,13 @@ def test_side_lengths_validation():
         SideLengths(0.9, 0.05, 0.05)  # violates the triangle inequality
 
 
+def test_configuration_from_sides_with_a_and_b_coincident():
+    rebuilt = configuration_from_sides(SideLengths(0.5, 0.5, 0.0), p=3)
+    np.testing.assert_array_equal(rebuilt.landmarks[0], rebuilt.landmarks[1])
+    np.testing.assert_allclose(side_lengths(rebuilt).as_tuple(), (0.5, 0.5, 0.0), atol=1e-15)
+    assert rebuilt.p == 3
+
+
 def test_configuration_from_sides_realizes_lengths():
     rng = np.random.default_rng(16)
     for _ in range(300):
